@@ -19,7 +19,8 @@
 use fftx_bench::{CheckKind, GateOp, Harness, MetricValue};
 use fftx_core::stages::StagePlan;
 use fftx_core::{
-    run_original, run_verified, simulate_config, FftxConfig, Mode, Problem, VerifyMode,
+    run_policy, run_verified, simulate_config, FftxConfig, Mode, Problem, SchedulerPolicy,
+    VerifyMode,
 };
 use fftx_fault::{BitFlip, CorruptionConfig, RecoveryConfig};
 use fftx_knlsim::{CommModel, ContentionModel, KnlConfig};
@@ -64,7 +65,7 @@ fn main() {
 
     // --- Part 1: flip rate × verify mode sweep on the real engine. ---
     let problem = Problem::new(FftxConfig::small(2, 2, Mode::Original));
-    let baseline = run_original(&problem);
+    let baseline = run_policy(&problem, SchedulerPolicy::Serial);
     let mut rows: Vec<SweepRow> = Vec::new();
     for rate in RATES {
         for mode in VerifyMode::ALL {

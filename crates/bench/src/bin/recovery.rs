@@ -14,10 +14,9 @@
 //! an eviction — all as fractions of the fault-free Fig. 3 runtime.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
-use fftx_core::taskmodes::run_task_per_fft;
 use fftx_core::{
-    run_eviction, run_original, run_retry, run_rollback, FftxConfig, Mode, Problem,
-    simulate_config,
+    run_eviction, run_policy, run_retry, run_rollback, simulate_config, FftxConfig, Mode, Problem,
+    SchedulerPolicy,
 };
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig, TaskCrashes};
 use fftx_knlsim::{CommModel, ContentionModel, KnlConfig};
@@ -66,7 +65,7 @@ fn main() {
     // Every rank runs one task per band and each crashes at least once.
     let expected_retries = (cfg.nbnd * cfg.vmpi_ranks()) as u64;
     let problem = Problem::new(cfg);
-    let (baseline, clean_s) = wall(|| run_task_per_fft(&problem));
+    let (baseline, clean_s) = wall(|| run_policy(&problem, SchedulerPolicy::TaskPerFft));
     let ((retry_out, retry_stats), retry_s) = wall(|| {
         run_retry(&problem, Some(TaskCrashes::new(SEED, 1.0, 2)), &rc)
             .expect("retry budget must absorb the injected crashes")
@@ -88,7 +87,7 @@ fn main() {
     // Every batch's collective times out once or twice mid-flight.
     let cfg = FftxConfig::small(2, 2, Mode::Original);
     let problem = Problem::new(cfg);
-    let (orig_baseline, orig_clean_s) = wall(|| run_original(&problem));
+    let (orig_baseline, orig_clean_s) = wall(|| run_policy(&problem, SchedulerPolicy::Serial));
     let ((rb_out, rb_stats), rb_s) = wall(|| {
         run_rollback(&problem, Some(BatchAborts::new(SEED, 1.0, 2)), &rc)
             .expect("rollback budget must absorb the injected aborts")
@@ -114,7 +113,7 @@ fn main() {
     let mut cfg = FftxConfig::small(7, 1, Mode::Original);
     cfg.nbnd = 6;
     let problem = Problem::new(cfg);
-    let (ev_baseline, ev_clean_s) = wall(|| run_original(&problem));
+    let (ev_baseline, ev_clean_s) = wall(|| run_policy(&problem, SchedulerPolicy::Serial));
     let ((ev_out, ev_stats), ev_s) = wall(|| {
         run_eviction(&problem, RankDeath::at(3, 2), &rc)
             .expect("survivors must finish the run")

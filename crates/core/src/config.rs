@@ -221,22 +221,39 @@ impl FftxConfig {
         self.nbnd / self.layout_ntg()
     }
 
-    /// Checks structural requirements.
+    /// Checks structural requirements: positive dimensions, at least one
+    /// band, a band count divisible by the task-group count, and a finite,
+    /// positive cutoff and cell.
+    pub fn check(&self) -> Result<(), String> {
+        if self.nr == 0 || self.ntg == 0 {
+            return Err("FftxConfig: nr/ntg must be positive".into());
+        }
+        if self.nbnd == 0 {
+            return Err("FftxConfig: need at least one band".into());
+        }
+        if !self.nbnd.is_multiple_of(self.layout_ntg()) {
+            return Err(format!(
+                "FftxConfig: nbnd ({}) must be divisible by the task-group count ({})",
+                self.nbnd,
+                self.layout_ntg()
+            ));
+        }
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.ecutwfc) || !positive(self.alat) {
+            return Err("FftxConfig: bad cutoff/cell".into());
+        }
+        Ok(())
+    }
+
+    /// [`FftxConfig::check`] for library callers that treat a bad
+    /// configuration as a programming error.
     ///
     /// # Panics
-    /// Panics when the band count is not divisible by the task-group count
-    /// or any dimension is zero.
+    /// Panics with [`FftxConfig::check`]'s message.
     pub fn validate(&self) {
-        assert!(self.nr > 0 && self.ntg > 0, "FftxConfig: nr/ntg must be positive");
-        assert!(self.nbnd > 0, "FftxConfig: need at least one band");
-        assert_eq!(
-            self.nbnd % self.layout_ntg(),
-            0,
-            "FftxConfig: nbnd ({}) must be divisible by the task-group count ({})",
-            self.nbnd,
-            self.layout_ntg()
-        );
-        assert!(self.ecutwfc > 0.0 && self.alat > 0.0, "FftxConfig: bad cutoff/cell");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 
     /// Configuration label in the paper's "R x T" notation.

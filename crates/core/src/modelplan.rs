@@ -9,7 +9,7 @@
 //! contention and growing collective cost — live in `fftx-knlsim`'s models.
 
 use crate::config::{DecompChoice, Decomposition, FftxConfig, Mode};
-use crate::original::StepFlops;
+use crate::stages::StepFlops;
 use crate::problem::Problem;
 use fftx_knlsim::{
     simulate, simulate_faulty, CommModel, ContentionModel, FaultPlan, KnlConfig, RankTasks,
@@ -196,7 +196,7 @@ fn build_original(problem: &Problem) -> Vec<RankTasks> {
         .map(|w| {
             let g = l.task_group_of(w);
             let i = l.member_of(w);
-            let flops = StepFlops::for_group(problem, g);
+            let flops = StepFlops::for_layout(&problem.layout, g);
             let pack = |tag: u64| Segment::Collective {
                 op: CommOp::Alltoallv,
                 comm_key: PACK_KEY_BASE + g as u64,
@@ -293,7 +293,7 @@ fn build_task_per_fft(problem: &Problem) -> Vec<RankTasks> {
     let cfg = problem.config;
     (0..cfg.nr)
         .map(|g| {
-            let flops = StepFlops::for_group(problem, g);
+            let flops = StepFlops::for_layout(&problem.layout, g);
             let tasks = (0..cfg.nbnd).map(|b| band_task(problem, g, b, &flops)).collect();
             RankTasks {
                 tasks,
@@ -308,7 +308,7 @@ fn build_task_per_step(problem: &Problem) -> Vec<RankTasks> {
     let l = &problem.layout;
     (0..cfg.nr)
         .map(|g| {
-            let flops = StepFlops::for_group(problem, g);
+            let flops = StepFlops::for_layout(&problem.layout, g);
             let mut tasks: Vec<TaskSpec> = Vec::with_capacity(cfg.nbnd * 9);
             let sc = ScatterShape {
                 decomp: cfg.decomp,
@@ -399,7 +399,7 @@ fn build_task_async(problem: &Problem) -> Vec<RankTasks> {
     let l = &problem.layout;
     (0..cfg.nr)
         .map(|g| {
-            let flops = StepFlops::for_group(problem, g);
+            let flops = StepFlops::for_layout(&problem.layout, g);
             let mut tasks: Vec<TaskSpec> = Vec::with_capacity(cfg.nbnd * 11);
             let sc = ScatterShape {
                 decomp: cfg.decomp,
@@ -507,7 +507,7 @@ fn build_hybrid(problem: &Problem) -> Vec<RankTasks> {
     let l = &problem.layout;
     (0..cfg.nr)
         .map(|g| {
-            let flops = StepFlops::for_group(problem, g);
+            let flops = StepFlops::for_layout(&problem.layout, g);
             let mut tasks: Vec<TaskSpec> = Vec::with_capacity(cfg.nbnd * 3);
             let sc = ScatterShape {
                 decomp: cfg.decomp,

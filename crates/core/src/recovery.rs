@@ -45,11 +45,10 @@
 //! fault-free baselines.
 
 use crate::config::Mode;
-use crate::original::{finish_run, RunOutput};
 use crate::plan::BufferArena;
 use crate::problem::Problem;
 use crate::recorder::Recorder;
-use crate::stages::{ScatterComms, StagePlan};
+use crate::stages::{finish_run, RunOutput, ScatterComms, StagePlan};
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig, TaskCrashes};
 use fftx_fft::Complex64;
 use fftx_pw::{
@@ -523,7 +522,10 @@ fn rank_eviction(
             held.push((death.rank, vs[b].as_slice()));
         }
         let sends = redistribution_sends(&l.set, &l.dist, &new_owner, &held, shrunk.size());
-        let recv = shrunk.try_alltoallv(sends, REDIST_TAG)?;
+        let counts: Vec<usize> = sends.iter().map(Vec::len).collect();
+        let flat = sends.concat();
+        let (mut recv, mut recv_counts) = (Vec::new(), Vec::new());
+        shrunk.try_alltoallv_into(&flat, &counts, &mut recv, &mut recv_counts, REDIST_TAG)?;
         new_shares.push(deposit_redistributed(
             &l.set,
             &l.dist,
@@ -534,12 +536,13 @@ fn rank_eviction(
             death.rank,
             buddy,
             &recv,
+            &recv_counts,
         ));
     }
 
     // Phase 2: the remaining batches under the re-planned R×T layout. The
-    // single stage-graph re-plan ([`StagePlan::for_layout`]) covers every
-    // scheduler policy (eviction is the one path where plans cannot be
+    // single stage-graph re-plan ([`StagePlan::for_layout_decomp`]) covers
+    // every scheduler policy (eviction is the one path where plans cannot be
     // precomputed — the layout is only known after the death); the arena is
     // reused, its buffers re-fitted to the new geometry.
     let g2 = new_l.task_group_of(me2);
@@ -625,9 +628,10 @@ fn redistribution_sends(
     sends
 }
 
-/// Inverse of [`redistribution_sends`] on the receiving side: every source
-/// chunk is walked in the same deterministic (held old rank, old stick
-/// order) sequence and deposited at the stick's offset in the new share.
+/// Inverse of [`redistribution_sends`] on the receiving side: `recv` holds
+/// source `j`'s chunk at offset `recv_counts[..j].sum()`; every chunk is
+/// walked in the same deterministic (held old rank, old stick order)
+/// sequence and deposited at the stick's offset in the new share.
 #[allow(clippy::too_many_arguments)]
 fn deposit_redistributed(
     set: &StickSet,
@@ -638,7 +642,8 @@ fn deposit_redistributed(
     members: &[usize],
     victim: usize,
     buddy: usize,
-    recv: &[Vec<Complex64>],
+    recv: &[Complex64],
+    recv_counts: &[usize],
 ) -> Vec<Complex64> {
     // Offsets of my sticks inside the new share.
     let mut my_off = vec![usize::MAX; set.nst()];
@@ -648,7 +653,10 @@ fn deposit_redistributed(
         off += set.sticks[s].len();
     }
     let mut out = vec![Complex64::ZERO; new_dist.ngw_per_rank[me]];
-    for (j, chunk) in recv.iter().enumerate() {
+    let mut start = 0;
+    for (j, &count) in recv_counts.iter().enumerate() {
+        let chunk = &recv[start..start + count];
+        start += count;
         let mut cursor = 0;
         for old_rank in held_old_ranks(members[j], victim, buddy) {
             for &s in &old_dist.per_rank[old_rank] {
@@ -669,8 +677,7 @@ fn deposit_redistributed(
 mod tests {
     use super::*;
     use crate::config::FftxConfig;
-    use crate::original::run_original;
-    use crate::taskmodes::run_task_per_fft;
+    use crate::stages::{run_policy, SchedulerPolicy};
 
     fn eviction_config() -> FftxConfig {
         // 7 ranks as 7×1; after evicting one, 6 survivors re-plan to 3×2.
@@ -683,7 +690,7 @@ mod tests {
     fn retried_tasks_produce_bitwise_identical_bands() {
         let cfg = FftxConfig::small(2, 2, Mode::TaskPerFft);
         let problem = Problem::new(cfg);
-        let baseline = run_task_per_fft(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::TaskPerFft);
         // Every task crashes at least once; budget (3) covers max 2 crashes.
         let crashes = TaskCrashes::new(11, 1.0, 2);
         let (out, stats) =
@@ -700,7 +707,7 @@ mod tests {
     fn clean_retry_run_is_free_of_retries() {
         let cfg = FftxConfig::small(2, 2, Mode::TaskPerFft);
         let problem = Problem::new(cfg);
-        let baseline = run_task_per_fft(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::TaskPerFft);
         let (out, stats) = run_retry(&problem, None, &RecoveryConfig::default()).expect("clean");
         assert_eq!(stats.task_retries, 0);
         assert_eq!(out.bands, baseline.bands);
@@ -710,7 +717,7 @@ mod tests {
     fn rolled_back_batches_produce_bitwise_identical_bands() {
         let cfg = FftxConfig::small(2, 2, Mode::Original);
         let problem = Problem::new(cfg);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         // Every batch aborts 1-2 times; the rollback budget (4) covers it.
         let aborts = BatchAborts::new(5, 1.0, 2);
         let (out, stats) =
@@ -747,7 +754,7 @@ mod tests {
     #[test]
     fn eviction_replans_layout_and_keeps_bands_identical() {
         let problem = Problem::new(eviction_config());
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         // Cover an interior victim and the ring-wraparound buddy (victim
         // p-1 whose buddy is rank 0).
         for victim in [3, 6] {
@@ -773,7 +780,7 @@ mod tests {
         // Death at batch 0: the buddy has no checkpoints, every victim band
         // is recomputed deterministically.
         let problem = Problem::new(eviction_config());
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let (out, stats) = run_eviction(
             &problem,
             RankDeath::at(0, 0),
@@ -813,11 +820,12 @@ mod tests {
             })
             .collect();
         for me in 0..members.len() {
-            // recv[j] = what source j sent to `me`.
-            let recv: Vec<Vec<Complex64>> =
-                (0..members.len()).map(|j| all_sends[j][me].clone()).collect();
+            // Segment j of recv = what source j sent to `me`.
+            let recv: Vec<Complex64> =
+                (0..members.len()).flat_map(|j| all_sends[j][me].clone()).collect();
+            let counts: Vec<usize> = (0..members.len()).map(|j| all_sends[j][me].len()).collect();
             let got = deposit_redistributed(
-                set, &l.dist, &new_dist, &new_owner, me, &members, victim, buddy, &recv,
+                set, &l.dist, &new_dist, &new_owner, me, &members, victim, buddy, &recv, &counts,
             );
             let expect = extract_share(set, &new_dist, me, &band);
             assert_eq!(got, expect, "survivor {me} reassembled the wrong share");

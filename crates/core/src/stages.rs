@@ -2,10 +2,12 @@
 //!
 //! Every engine in this crate runs the same per-band pipeline — pack,
 //! z-FFT, forward scatter, xy-FFTs around VOFR, backward scatter, z-FFT,
-//! unpack. Historically each engine (`original`, the two OmpSs strategies,
-//! the split-phase variant) hand-wired that pipeline a second, third and
-//! fourth time; this module replaces them with **one typed stage graph**
-//! executed by interchangeable **scheduler policies**:
+//! unpack. Historically each engine (the original static code, the two
+//! OmpSs strategies, the split-phase variant) hand-wired that pipeline a
+//! second, third and fourth time; this module replaces them with **one
+//! typed stage graph** executed by interchangeable **scheduler policies**,
+//! reached through one entry point, [`run_policy`] /
+//! [`run_policy_chaotic`]:
 //!
 //! * [`StageKind`] / [`StageNode`] / [`BAND_PIPELINE`] — the declarative
 //!   graph: each stage declares which logical [`Slot`]s it reads and
@@ -41,14 +43,13 @@
 //! [`BAND_PIPELINE`], the data placement from the policy.
 
 use crate::config::{Decomposition, Mode};
-use crate::original::{finish_run, RunOutput, StepFlops};
 use crate::plan::{BufferArena, ExecPlan};
 use crate::problem::Problem;
 use crate::recorder::Recorder;
-use fftx_fft::{cft_1z, cft_2xy_buf, Complex64, Direction};
-use fftx_pw::{apply_potential_slab, ProcessGrid, TaskGroupLayout};
+use fftx_fft::{cft_1z, cft_2xy_buf, opcount, Complex64, Direction};
+use fftx_pw::{apply_potential_slab, assemble_shares, ProcessGrid, TaskGroupLayout};
 use fftx_taskrt::{Dep, Handle, Runtime, Shared, SlotArena, TaskGraph};
-use fftx_trace::{StateClass, TraceSink};
+use fftx_trace::{StateClass, Trace, TraceSink};
 use fftx_vmpi::{
     AlltoallRequest, ChaosConfig, Communicator, FaultReport, VmpiError, World,
 };
@@ -349,14 +350,91 @@ impl Clone for ScatterComms {
 }
 
 // ---------------------------------------------------------------------
+// Run output and flop estimates
+// ---------------------------------------------------------------------
+
+/// Result of a real execution.
+#[derive(Default)]
+pub struct RunOutput {
+    /// Updated bands, reassembled into canonical order.
+    pub bands: Vec<Vec<Complex64>>,
+    /// The recorded trace (compute bursts, MPI calls, tasks, stage spans).
+    pub trace: Trace,
+    /// FFT-phase wall time: max over ranks of the barrier-to-barrier span.
+    pub fft_phase_s: f64,
+}
+
+/// Per-iteration flop estimates used for trace counters.
+pub struct StepFlops {
+    /// PsiPrep (buffer clearing).
+    pub prep: f64,
+    /// Pack/unpack deposit copies.
+    pub pack: f64,
+    /// The z-FFT batch.
+    pub fft_z: f64,
+    /// Local copies around the scatter.
+    pub scatter_copy: f64,
+    /// The xy-FFT batch.
+    pub fft_xy: f64,
+    /// The VOFR point-wise multiply.
+    pub vofr: f64,
+}
+
+impl StepFlops {
+    /// Estimates for task group `g` of a layout: the problem's own, or the
+    /// one the recovery engine re-plans mid-run after an eviction.
+    pub fn for_layout(l: &TaskGroupLayout, g: usize) -> Self {
+        let grid = l.grid;
+        let nst = l.nst_group(g);
+        let npp = l.npp(g);
+        let plane = grid.nr1 * grid.nr2;
+        StepFlops {
+            // The prep phase clears/initialises both work buffers (the
+            // paper's conspicuous low-IPC "psi preparation" segment).
+            prep: opcount::copy_flops(nst * grid.nr3 + npp * plane),
+            pack: opcount::copy_flops(l.ngw_group(g)),
+            fft_z: opcount::fft_z_batch_flops(grid.nr3, nst),
+            scatter_copy: opcount::copy_flops(nst * grid.nr3 + npp * plane),
+            fft_xy: opcount::fft_xy_batch_flops(grid.nr1, grid.nr2, npp),
+            vofr: opcount::pointwise_mul_flops(npp * plane),
+        }
+    }
+}
+
+/// Reassembles bands from per-rank shares and closes the trace.
+pub fn finish_run(
+    problem: &Problem,
+    sink: TraceSink,
+    results: Vec<(Vec<Vec<Complex64>>, f64)>,
+) -> RunOutput {
+    let fft_phase_s = results
+        .iter()
+        .map(|(_, t)| *t)
+        .fold(0.0_f64, f64::max);
+    let nbnd = problem.config.nbnd;
+    let bands = (0..nbnd)
+        .map(|b| {
+            let shares: Vec<Vec<Complex64>> =
+                results.iter().map(|(s, _)| s[b].clone()).collect();
+            assemble_shares(&problem.layout.set, &problem.layout.dist, &shares)
+        })
+        .collect();
+    RunOutput {
+        bands,
+        trace: sink.finish(),
+        fft_phase_s,
+    }
+}
+
+// ---------------------------------------------------------------------
 // Plan bundle (the one re-plan path)
 // ---------------------------------------------------------------------
 
 /// Execution plan plus flop estimates for one task group — everything a
 /// [`StageRunner`] needs that depends on the layout. Built once per rank
 /// through [`StagePlan::for_problem`]; recovery's eviction path rebuilds it
-/// through [`StagePlan::for_layout`] after shrinking the world, so a single
-/// re-plan covers every scheduler policy.
+/// through [`StagePlan::for_layout_decomp`] after shrinking the world, so a
+/// single re-plan covers every scheduler policy.
 pub struct StagePlan {
     /// Precomputed index tables and interned FFT plans.
     pub plan: Arc<ExecPlan>,
@@ -369,19 +447,14 @@ impl StagePlan {
     pub fn for_problem(problem: &Problem, g: usize) -> Self {
         StagePlan {
             plan: Arc::clone(problem.exec_plan(g)),
-            flops: StepFlops::for_group(problem, g),
+            flops: StepFlops::for_layout(&problem.layout, g),
         }
     }
 
-    /// A plan for task group `g` of an explicit layout (the mid-run re-plan
-    /// after a rank eviction, where the layout is only known at runtime).
-    pub fn for_layout(l: &TaskGroupLayout, g: usize) -> Self {
-        Self::for_layout_decomp(l, g, Decomposition::Slab)
-    }
-
-    /// [`StagePlan::for_layout`] under an explicit decomposition — the
-    /// eviction re-plan must keep the surviving ranks on the decomposition
-    /// the run started with.
+    /// A plan for task group `g` of an explicit layout under `decomp` (the
+    /// mid-run re-plan after a rank eviction, where the layout is only
+    /// known at runtime; the survivors keep the decomposition the run
+    /// started with).
     pub fn for_layout_decomp(l: &TaskGroupLayout, g: usize, decomp: Decomposition) -> Self {
         StagePlan {
             plan: Arc::new(ExecPlan::for_layout_decomp(l, g, decomp)),
@@ -979,7 +1052,8 @@ pub(crate) fn worker_arenas(workers: usize) -> Arc<Vec<Shared<BufferArena>>> {
 }
 
 /// Runs the problem under `policy` and returns the reassembled bands,
-/// trace and FFT-phase time.
+/// trace and FFT-phase time. The policy must schedule the configuration's
+/// mode: `SchedulerPolicy::for_mode(problem.config.mode)`.
 pub fn run_policy(problem: &Arc<Problem>, policy: SchedulerPolicy) -> RunOutput {
     run_policy_chaotic(problem, policy, None).0
 }
@@ -1544,7 +1618,7 @@ mod tests {
     #[test]
     fn pipeline_nodes_match_the_engines_dependency_wiring() {
         // The graph must encode the exact in/out/inout lists the engines
-        // used to hand-write (taskmodes.rs before the refactor).
+        // used to hand-write before the stage-graph refactor.
         let mut arena = SlotArena::new();
         let bs = BandSlots::mint(&mut arena);
         assert_eq!(arena.minted().len(), 5);
@@ -1578,6 +1652,19 @@ mod tests {
         assert_eq!(SchedulerPolicy::parse("original"), Some(SchedulerPolicy::Serial));
         assert_eq!(SchedulerPolicy::parse("ffts"), Some(SchedulerPolicy::TaskPerFft));
         assert_eq!(SchedulerPolicy::parse("nope"), None);
+    }
+
+    #[test]
+    fn dispatch_covers_every_mode() {
+        for mode in [
+            Mode::Original,
+            Mode::TaskPerStep,
+            Mode::TaskPerFft,
+            Mode::TaskAsync,
+            Mode::Hybrid,
+        ] {
+            assert_eq!(SchedulerPolicy::for_mode(mode).mode(), mode);
+        }
     }
 
     #[test]

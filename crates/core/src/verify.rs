@@ -58,12 +58,11 @@
 //! eviction per run: a second flaky rank escalates as a typed error.
 
 use crate::config::Mode;
-use crate::original::{finish_run, RunOutput};
 use crate::plan::BufferArena;
 use crate::problem::Problem;
 use crate::recorder::Recorder;
 use crate::recovery::run_eviction;
-use crate::stages::{ScatterComms, StageKind, StagePlan, StageRunner};
+use crate::stages::{finish_run, RunOutput, ScatterComms, StageKind, StagePlan, StageRunner};
 use fftx_fault::{mix64, CorruptionConfig, RankDeath, RecoveryConfig, Strike, StuckLane};
 use fftx_fft::{c64, cached_plan, cft_1z, Complex64, Direction};
 use fftx_trace::TraceSink;
@@ -632,7 +631,7 @@ fn rank_verified(
 mod tests {
     use super::*;
     use crate::config::FftxConfig;
-    use crate::original::run_original;
+    use crate::stages::{run_policy, SchedulerPolicy};
     use fftx_fault::BitFlip;
 
     fn problem(r: usize, t: usize) -> Arc<Problem> {
@@ -699,7 +698,7 @@ mod tests {
     #[test]
     fn clean_verified_run_detects_nothing_and_matches_baseline() {
         let problem = problem(2, 2);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         for mode in VerifyMode::ALL {
             let (out, stats) =
                 run_verified(&problem, CorruptionConfig::off(), mode, &RecoveryConfig::default())
@@ -722,7 +721,7 @@ mod tests {
         // The silent-data-corruption baseline: with verification off, an
         // injected compute fault flows straight into the answer.
         let problem = problem(2, 2);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let corruption = CorruptionConfig {
             bitflip: Some(BitFlip::new(9, 1.0, 2)),
             ..CorruptionConfig::off()
@@ -738,7 +737,7 @@ mod tests {
     #[test]
     fn cheap_mode_detects_rolls_back_and_restores_bitwise_identity() {
         let problem = problem(2, 2);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let corruption = CorruptionConfig {
             bitflip: Some(BitFlip::new(9, 1.0, 2)),
             ..CorruptionConfig::off()
@@ -755,7 +754,7 @@ mod tests {
     #[test]
     fn full_mode_repairs_in_place_without_rollbacks() {
         let problem = problem(2, 2);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let corruption = CorruptionConfig {
             bitflip: Some(BitFlip::new(9, 1.0, 2)),
             ..CorruptionConfig::off()
@@ -795,7 +794,7 @@ mod tests {
         let mut cfg = FftxConfig::small(7, 1, Mode::Original);
         cfg.nbnd = 6;
         let problem = Problem::new(cfg);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let (seed, victim) = (0u64..)
             .find_map(|s| {
                 let flaky: Vec<usize> = (0..7)

@@ -10,7 +10,10 @@
 //! var must be set before the first arena touch, which a dedicated process
 //! guarantees.
 
-use fftx_core::{run_chaotic, run_eviction, run_rollback, FftxConfig, Mode, Problem};
+use fftx_core::{
+    run_eviction, run_policy, run_policy_chaotic, run_rollback, FftxConfig, Mode, Problem,
+    SchedulerPolicy,
+};
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig};
 use fftx_fft::Complex64;
 use fftx_vmpi::{ChaosConfig, StallConfig};
@@ -83,12 +86,12 @@ fn poisoned_padding_never_reaches_the_bands() {
     for mode in modes {
         for (nr, ntg) in [(2, 2), (2, 3)] {
             let problem = Problem::new(FftxConfig::small(nr, ntg, mode));
-            let (run, _) = run_chaotic(&problem, None);
+            let run = run_policy(&problem, SchedulerPolicy::for_mode(mode));
             check(&format!("clean/{}/{}x{}", mode.name(), nr, ntg), &run.bands);
         }
     }
     let problem = Problem::new(FftxConfig::small(4, 1, Mode::Original));
-    let (run, _) = run_chaotic(&problem, None);
+    let run = run_policy(&problem, SchedulerPolicy::Serial);
     check("clean/original/4x1", &run.bands);
 
     // Chaos: retried/stalled transport must not resurrect padding reads.
@@ -96,7 +99,8 @@ fn poisoned_padding_never_reaches_the_bands() {
         let problem = Problem::new(FftxConfig::small(2, 2, mode));
         let chaos =
             ChaosConfig::aggressive(7).with_stall(StallConfig::rank(0, Duration::from_millis(1), 3));
-        let (run, report) = run_chaotic(&problem, Some(chaos));
+        let (run, report) =
+            run_policy_chaotic(&problem, SchedulerPolicy::for_mode(mode), Some(chaos));
         assert!(report.is_some(), "chaos must be active");
         check(&format!("chaos/{}/seed7", mode.name()), &run.bands);
     }

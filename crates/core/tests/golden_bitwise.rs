@@ -14,8 +14,8 @@
 //! `FFTX_GOLDEN_BLESS=1 cargo test -p fftx-core --test golden_bitwise`
 
 use fftx_core::{
-    run_chaotic, run_eviction, run_rollback, Cell, Decomposition, FftGrid, FftxConfig, Mode,
-    Problem, DUAL,
+    run_eviction, run_policy, run_policy_chaotic, run_rollback, Cell, Decomposition, FftGrid,
+    FftxConfig, Mode, Problem, SchedulerPolicy, DUAL,
 };
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig};
 use fftx_fft::Complex64;
@@ -95,7 +95,7 @@ fn scenarios() -> Vec<(String, u64)> {
     for mode in modes {
         for (nr, ntg) in [(2, 2), (3, 2), (2, 3)] {
             let problem = Problem::new(FftxConfig::small(nr, ntg, mode));
-            let (run, _) = run_chaotic(&problem, None);
+            let run = run_policy(&problem, SchedulerPolicy::for_mode(mode));
             out.push((
                 format!("clean/{}/{}x{}", mode.name(), nr, ntg),
                 hash_bands(&run.bands),
@@ -104,14 +104,15 @@ fn scenarios() -> Vec<(String, u64)> {
     }
     // The pure-scatter extreme (T = 1) for the original engine.
     let problem = Problem::new(FftxConfig::small(4, 1, Mode::Original));
-    let (run, _) = run_chaotic(&problem, None);
+    let run = run_policy(&problem, SchedulerPolicy::Serial);
     out.push(("clean/original/4x1".into(), hash_bands(&run.bands)));
 
     // Chaotic runs: seeded transport faults must be invisible in the bits.
     for mode in modes {
         for seed in [7_u64, 20170814] {
             let problem = Problem::new(FftxConfig::small(2, 2, mode));
-            let (run, report) = run_chaotic(&problem, Some(chaos(seed)));
+            let (run, report) =
+                run_policy_chaotic(&problem, SchedulerPolicy::for_mode(mode), Some(chaos(seed)));
             assert!(report.is_some(), "chaos must be active");
             out.push((
                 format!("chaos/{}/seed{}", mode.name(), seed),
@@ -149,8 +150,9 @@ fn scenarios() -> Vec<(String, u64)> {
         for (nr, ntg) in [(4, 1), (6, 1)] {
             let slab_cfg = FftxConfig::small(nr, ntg, mode);
             let pencil_cfg = slab_cfg.with_decomp(Decomposition::Pencil);
-            let (slab, _) = run_chaotic(&Problem::new(slab_cfg), None);
-            let (pencil, _) = run_chaotic(&Problem::new(pencil_cfg), None);
+            let policy = SchedulerPolicy::for_mode(mode);
+            let slab = run_policy(&Problem::new(slab_cfg), policy);
+            let pencil = run_policy(&Problem::new(pencil_cfg), policy);
             let (hs, hp) = (hash_bands(&slab.bands), hash_bands(&pencil.bands));
             assert_eq!(
                 hs, hp,
@@ -166,8 +168,10 @@ fn scenarios() -> Vec<(String, u64)> {
     for mode in modes {
         let slab_cfg = FftxConfig::small(4, 1, mode);
         let pencil_cfg = slab_cfg.with_decomp(Decomposition::Pencil);
-        let (slab, _) = run_chaotic(&Problem::new(slab_cfg), Some(chaos(20170814)));
-        let (pencil, report) = run_chaotic(&Problem::new(pencil_cfg), Some(chaos(20170814)));
+        let policy = SchedulerPolicy::for_mode(mode);
+        let (slab, _) = run_policy_chaotic(&Problem::new(slab_cfg), policy, Some(chaos(20170814)));
+        let (pencil, report) =
+            run_policy_chaotic(&Problem::new(pencil_cfg), policy, Some(chaos(20170814)));
         assert!(report.is_some(), "chaos must be active");
         let (hs, hp) = (hash_bands(&slab.bands), hash_bands(&pencil.bands));
         assert_eq!(hs, hp, "pencil chaos bits must match slab: {}", mode.name());
@@ -204,8 +208,9 @@ fn scenarios() -> Vec<(String, u64)> {
     // Non-power-friendly geometry: z = 41 (prime, Bluestein path) under
     // both decompositions, every mode.
     for mode in modes {
-        let (slab, _) = run_chaotic(&prime41_problem(4, 1, mode, Decomposition::Slab), None);
-        let (pencil, _) = run_chaotic(&prime41_problem(4, 1, mode, Decomposition::Pencil), None);
+        let policy = SchedulerPolicy::for_mode(mode);
+        let slab = run_policy(&prime41_problem(4, 1, mode, Decomposition::Slab), policy);
+        let pencil = run_policy(&prime41_problem(4, 1, mode, Decomposition::Pencil), policy);
         let (hs, hp) = (hash_bands(&slab.bands), hash_bands(&pencil.bands));
         assert_eq!(hs, hp, "prime-grid pencil bits must match slab: {}", mode.name());
         out.push((format!("prime41/clean/{}/4x1", mode.name()), hp));

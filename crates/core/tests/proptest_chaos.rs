@@ -11,9 +11,9 @@
 //! costs time, never answers.
 
 use fftx_core::{
-    run_chaotic, run_eviction, run_original, run_retry, run_rollback, FftxConfig, Mode, Problem,
+    run_eviction, run_policy, run_policy_chaotic, run_retry, run_rollback, FftxConfig, Mode,
+    Problem, SchedulerPolicy,
 };
-use fftx_core::taskmodes::run_task_per_fft;
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig, TaskCrashes};
 use fftx_vmpi::{ChaosConfig, FaultReport, StallConfig};
 use proptest::prelude::*;
@@ -33,7 +33,8 @@ fn chaos(seed: u64) -> ChaosConfig {
 fn run_mode(mode: Mode, seed: Option<u64>) -> (Vec<Vec<fftx_fft::Complex64>>, Option<FaultReport>) {
     let cfg = FftxConfig::small(2, 2, mode);
     let problem = Problem::new(cfg);
-    let (out, report) = run_chaotic(&problem, seed.map(chaos));
+    let (out, report) =
+        run_policy_chaotic(&problem, SchedulerPolicy::for_mode(mode), seed.map(chaos));
     (out.bands, report)
 }
 
@@ -72,7 +73,7 @@ proptest! {
     fn task_reexecution_recovers_bitwise_identical_bands(seed in 1u64..1_000_000) {
         let cfg = FftxConfig::small(2, 2, Mode::TaskPerFft);
         let problem = Problem::new(cfg);
-        let baseline = run_task_per_fft(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::TaskPerFft);
         let crashes = TaskCrashes::new(seed, 1.0, 2);
         let (out, stats) = run_retry(&problem, Some(crashes), &RecoveryConfig::default())
             .expect("retry budget must absorb at most 2 crashes per task");
@@ -90,7 +91,7 @@ proptest! {
     fn batch_rollback_recovers_bitwise_identical_bands(seed in 1u64..1_000_000) {
         let cfg = FftxConfig::small(2, 2, Mode::Original);
         let problem = Problem::new(cfg);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let aborts = BatchAborts::new(seed, 1.0, 2);
         let (out, stats) = run_rollback(&problem, Some(aborts), &RecoveryConfig::default())
             .expect("rollback budget must absorb at most 2 aborts per batch");
@@ -114,7 +115,7 @@ proptest! {
         let mut cfg = FftxConfig::small(7, 1, Mode::Original);
         cfg.nbnd = 6;
         let problem = Problem::new(cfg);
-        let baseline = run_original(&problem);
+        let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         let death = RankDeath::at(victim, batch_idx * 2);
         let (out, stats) = run_eviction(&problem, death, &RecoveryConfig::default())
             .expect("survivors must finish the run");

@@ -8,8 +8,8 @@
 //! values in the same order, so any bit difference is a defect.
 
 use fftx_core::{
-    run_chaotic, run_eviction, run_original, Cell, Decomposition, FftGrid, FftxConfig, Mode,
-    Problem, DUAL,
+    run_eviction, run_policy, run_policy_chaotic, Cell, Decomposition, FftGrid, FftxConfig, Mode,
+    Problem, SchedulerPolicy, DUAL,
 };
 use fftx_fault::{RankDeath, RecoveryConfig};
 use fftx_vmpi::{ChaosConfig, StallConfig};
@@ -47,9 +47,12 @@ proptest! {
         ] {
             let slab_cfg = FftxConfig::small(nr, ntg, mode);
             let pencil_cfg = slab_cfg.with_decomp(Decomposition::Pencil);
+            let policy = SchedulerPolicy::for_mode(mode);
             for chaos_seed in [None, Some(seed)] {
-                let (s, _) = run_chaotic(&Problem::new(slab_cfg), chaos_seed.map(chaos));
-                let (p, _) = run_chaotic(&Problem::new(pencil_cfg), chaos_seed.map(chaos));
+                let (s, _) =
+                    run_policy_chaotic(&Problem::new(slab_cfg), policy, chaos_seed.map(chaos));
+                let (p, _) =
+                    run_policy_chaotic(&Problem::new(pencil_cfg), policy, chaos_seed.map(chaos));
                 prop_assert!(
                     s.bands == p.bands,
                     "{:?} {}x{} chaos={:?}: pencil diverged from slab",
@@ -71,7 +74,7 @@ proptest! {
         // boundary must leave an even number of bands: batch 0, 2, 4.
         let mut cfg = FftxConfig::small(9, 1, Mode::Original);
         cfg.nbnd = 6;
-        let baseline = run_original(&Problem::new(cfg));
+        let baseline = run_policy(&Problem::new(cfg), SchedulerPolicy::Serial);
         let pencil = Problem::new(cfg.with_decomp(Decomposition::Pencil));
         let death = RankDeath::at(victim, batch_idx * 2);
         let (out, stats) = run_eviction(&pencil, death, &RecoveryConfig::default())
@@ -95,8 +98,9 @@ proptest! {
             let base = FftGrid::from_cutoff(&cell, DUAL * cfg.ecutwfc);
             Problem::with_grid(cfg, FftGrid::raw(base.nr1, base.nr2, 41))
         };
-        let (s, _) = run_chaotic(&build(Decomposition::Slab), Some(chaos(seed)));
-        let (p, _) = run_chaotic(&build(Decomposition::Pencil), Some(chaos(seed)));
+        let serial = SchedulerPolicy::Serial;
+        let (s, _) = run_policy_chaotic(&build(Decomposition::Slab), serial, Some(chaos(seed)));
+        let (p, _) = run_policy_chaotic(&build(Decomposition::Pencil), serial, Some(chaos(seed)));
         prop_assert!(
             s.bands == p.bands,
             "prime grid: pencil diverged from slab under seed {seed}"

@@ -3,14 +3,14 @@
 //! for several R × T shapes — scheduling may reorder execution, never
 //! change results.
 
-use fftx_core::{run, FftxConfig, Mode, Problem};
+use fftx_core::{run_policy, FftxConfig, Mode, Problem, SchedulerPolicy};
 use fftx_fft::max_dist;
 use fftx_pw::apply_vloc;
 
 fn check(mode: Mode, nr: usize, ntg: usize) {
     let cfg = FftxConfig::small(nr, ntg, mode);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::for_mode(mode));
 
     let bands_in: Vec<Vec<_>> = (0..cfg.nbnd).map(|b| problem.band(b)).collect();
     let expect = apply_vloc(&problem.layout.set, &problem.grid(), &problem.v, &bands_in);
@@ -56,13 +56,13 @@ fn all_three_modes_agree_exactly() {
     // tolerance (identical arithmetic, different schedules).
     let base = FftxConfig::small(2, 2, Mode::Original);
     let p_orig = Problem::new(base);
-    let orig = run(&p_orig);
+    let orig = run_policy(&p_orig, SchedulerPolicy::Serial);
 
     for mode in [Mode::TaskPerFft, Mode::TaskPerStep] {
         let mut cfg = base;
         cfg.mode = mode;
         let p = Problem::new(cfg);
-        let out = run(&p);
+        let out = run_policy(&p, SchedulerPolicy::for_mode(mode));
         for (b, (x, y)) in orig.bands.iter().zip(&out.bands).enumerate() {
             let err = max_dist(x, y);
             assert!(err < 1e-12, "{mode:?} band {b} differs from original: {err}");
@@ -78,7 +78,7 @@ fn concurrent_bands_in_flight() {
     // show compute bursts from different worker threads.
     let cfg = FftxConfig::small(2, 3, Mode::TaskPerFft);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskPerFft);
     let threads: std::collections::BTreeSet<usize> = out
         .trace
         .compute
@@ -110,10 +110,10 @@ fn task_async_many_workers() {
 #[test]
 fn task_async_agrees_with_original() {
     let base = FftxConfig::small(2, 2, Mode::Original);
-    let orig = run(&Problem::new(base));
+    let orig = run_policy(&Problem::new(base), SchedulerPolicy::Serial);
     let mut cfg = base;
     cfg.mode = Mode::TaskAsync;
-    let out = run(&Problem::new(cfg));
+    let out = run_policy(&Problem::new(cfg), SchedulerPolicy::TaskAsync);
     for (b, (x, y)) in orig.bands.iter().zip(&out.bands).enumerate() {
         let err = max_dist(x, y);
         assert!(err < 1e-12, "async band {b} differs from original: {err}");
@@ -124,7 +124,7 @@ fn task_async_agrees_with_original() {
 fn task_async_splits_the_scatter_tasks() {
     let cfg = FftxConfig::small(2, 2, Mode::TaskAsync);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskAsync);
     for b in 0..cfg.nbnd {
         for step in ["scatter-fw-post", "scatter-fw-wait", "scatter-bw-post", "scatter-bw-wait"] {
             assert!(

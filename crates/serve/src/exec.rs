@@ -124,11 +124,7 @@ impl Backend {
             .map(|c| mix64(c.seed ^ (index as u64).wrapping_mul(0x9e37)));
         let corrupt = self.chaos.map_or(0, |c| c.corrupt_per_mille);
         let mut run = RealRun {
-            output: RunOutput {
-                bands: Vec::new(),
-                trace: Default::default(),
-                fft_phase_s: 0.0,
-            },
+            output: RunOutput::default(),
             retries: 0,
             rollbacks: 0,
             evictions: 0,
@@ -331,7 +327,7 @@ mod tests {
     fn escalation_prices_the_wasted_attempt() {
         let be = Backend::new(42, None);
         let run = RealRun {
-            output: RunOutput { bands: Vec::new(), trace: Default::default(), fft_phase_s: 0.0 },
+            output: RunOutput::default(),
             retries: 0,
             rollbacks: 0,
             evictions: 0,

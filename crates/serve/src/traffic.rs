@@ -87,6 +87,24 @@ pub struct TrafficConfig {
     pub profile: LoadProfile,
 }
 
+impl TrafficConfig {
+    /// Checks the trace parameters: a finite, positive rate (also at the
+    /// profile's peak) and duration, and at least one tenant.
+    pub fn check(&self) -> Result<(), String> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        if !positive(self.rate_hz)
+            || !positive(self.rate_hz * self.profile.peak())
+            || !positive(self.duration_s)
+        {
+            return Err("traffic: rate/duration must be finite and positive".into());
+        }
+        if self.tenants == 0 {
+            return Err("traffic: need at least one tenant".into());
+        }
+        Ok(())
+    }
+}
+
 impl Default for TrafficConfig {
     fn default() -> Self {
         TrafficConfig {
@@ -144,9 +162,13 @@ impl Stream {
 
 /// Generates the request trace of `cfg`: arrivals ascending in time, ids
 /// dense from 0. Pure in the seed.
+///
+/// # Panics
+/// When `cfg` fails [`TrafficConfig::check`].
 pub fn generate(cfg: &TrafficConfig) -> Vec<Request> {
-    assert!(cfg.rate_hz > 0.0 && cfg.duration_s > 0.0, "traffic: rate/duration must be positive");
-    assert!(cfg.tenants > 0, "traffic: need at least one tenant");
+    if let Err(e) = cfg.check() {
+        panic!("{e}");
+    }
     let mut arrivals = Stream::new(cfg.seed, 1);
     let mut marks = Stream::new(cfg.seed, 2);
     let peak_rate = cfg.rate_hz * cfg.profile.peak();

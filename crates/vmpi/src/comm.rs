@@ -316,38 +316,19 @@ impl Communicator {
         R: Send + 'static,
         F: FnOnce(Vec<C>) -> Vec<R>,
     {
-        self.try_collective(kind, tag, contribution, complete)
+        self.try_collective(kind, tag, contribution, |_: &mut C, _| {}, complete)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Communicator::collective`] with failures as values: the world
-    /// abort flag is checked before posting (so an aborted world fails fast
-    /// without staging a new slot), and the wait surfaces timeouts.
-    fn try_collective<C, R, F>(
-        &self,
-        kind: CollKind,
-        tag: u32,
-        contribution: C,
-        complete: F,
-    ) -> Result<R, VmpiError>
-    where
-        C: Send + 'static,
-        R: Send + 'static,
-        F: FnOnce(Vec<C>) -> Vec<R>,
-    {
-        if let Some(cause) = self.shared.abort_cause() {
-            return Err(cause);
-        }
-        self.collective_post(kind, tag, contribution, complete)
-            .try_wait_inner()
-    }
-
-    /// [`Communicator::try_collective`] with a fault-injection hook: after
-    /// the collective's sequence number is allocated (so the decision site
-    /// is fully identified), `tamper` may mutate the staged contribution in
-    /// place — this is where the seeded payload-corruption profile strikes
-    /// the "wire" copy, *after* pack-time checksums were computed.
-    fn try_collective_tampered<C, R, F, G>(
+    /// [`Communicator::collective`] with failures as values and a
+    /// fault-injection hook. The world abort flag is checked before posting
+    /// (so an aborted world fails fast without staging a new slot), and the
+    /// wait surfaces timeouts. After the collective's sequence number is
+    /// allocated (so the decision site is fully identified), `tamper` may
+    /// mutate the staged contribution in place — this is where the seeded
+    /// payload-corruption profile strikes the "wire" copy, *after*
+    /// pack-time checksums were computed.
+    fn try_collective<C, R, F, G>(
         &self,
         kind: CollKind,
         tag: u32,
@@ -364,7 +345,7 @@ impl Communicator {
         if let Some(cause) = self.shared.abort_cause() {
             return Err(cause);
         }
-        self.collective_post_tampered(kind, tag, contribution, tamper, complete)
+        self.collective_post(kind, tag, contribution, tamper, complete)
             .try_wait_inner()
     }
 
@@ -372,25 +353,9 @@ impl Communicator {
     /// `contribution` (completing the operation if this is the last
     /// arrival) and returns a request to collect the result later — the
     /// split-phase (`MPI_Ialltoall`-style) primitive that lets a task
-    /// overlap the transfer with other work.
-    fn collective_post<C, R, F>(
-        &self,
-        kind: CollKind,
-        tag: u32,
-        contribution: C,
-        complete: F,
-    ) -> CollRequest<R>
-    where
-        C: Send + 'static,
-        R: Send + 'static,
-        F: FnOnce(Vec<C>) -> Vec<R>,
-    {
-        self.collective_post_tampered(kind, tag, contribution, |_c: &mut C, _seq| {}, complete)
-    }
-
-    /// [`Communicator::collective_post`] with the post-pack `tamper` hook
-    /// (see [`Communicator::try_collective_tampered`]).
-    fn collective_post_tampered<C, R, F, G>(
+    /// overlap the transfer with other work. `tamper` is the post-pack
+    /// fault hook of [`Communicator::try_collective`].
+    fn collective_post<C, R, F, G>(
         &self,
         kind: CollKind,
         tag: u32,
@@ -551,7 +516,9 @@ impl Communicator {
     pub fn try_barrier(&self) -> Result<(), VmpiError> {
         let t0 = self.now();
         let size = self.size();
-        self.try_collective(CollKind::Barrier, 0, (), |_c: Vec<()>| vec![(); size])?;
+        self.try_collective(CollKind::Barrier, 0, (), |_: &mut (), _| {}, |_c: Vec<()>| {
+            vec![(); size]
+        })?;
         let t1 = self.now();
         self.record(CommOp::Barrier, 0, t0, t1);
         Ok(())
@@ -638,26 +605,9 @@ impl Communicator {
         out
     }
 
-    /// `MPI_Alltoall`: `send.len()` must be `size * count`; chunk `j` goes to
-    /// rank `j`. The result holds chunk `j` received from rank `j`.
-    pub fn alltoall<T: Clone + Send + Checksum + 'static>(&self, send: &[T], tag: u32) -> Vec<T> {
-        self.try_alltoall(send, tag).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Communicator::alltoall`], surfacing timeouts, world aborts
-    /// and checksum failures as [`VmpiError`] values.
-    pub fn try_alltoall<T: Clone + Send + Checksum + 'static>(
-        &self,
-        send: &[T],
-        tag: u32,
-    ) -> Result<Vec<T>, VmpiError> {
-        let mut recv = Vec::new();
-        self.try_alltoall_into(send, &mut recv, tag)?;
-        Ok(recv)
-    }
-
-    /// Zero-copy [`Communicator::alltoall`]: the received buffer lands in
-    /// caller-owned `recv` (any previous contents replaced).
+    /// `MPI_Alltoall` into caller-owned `recv` (any previous contents
+    /// replaced): `send.len()` must be `size * count`; chunk `j` goes to
+    /// rank `j`, and `recv` holds chunk `j` received from rank `j`.
     ///
     /// # Panics
     /// On timeout / world abort / checksum failure;
@@ -672,8 +622,8 @@ impl Communicator {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`Communicator::alltoall`], but writing the result into
-    /// caller-owned `recv` instead of returning a fresh buffer.
+    /// Like [`Communicator::alltoall_into`], surfacing timeouts, world
+    /// aborts and checksum failures as [`VmpiError`] values.
     ///
     /// The transport stages exactly one owned copy of `send` (standing in
     /// for the NIC/MPI-internal send buffer — contributions must outlive
@@ -700,7 +650,7 @@ impl Communicator {
         let count = send.len() / size;
         let t0 = self.now();
         let bytes = std::mem::size_of_val(send);
-        let (data, sums) = self.try_collective_tampered(
+        let (data, sums) = self.try_collective(
             CollKind::Alltoall,
             tag,
             (send.to_vec(), pack_sums_uniform(send, count, size)),
@@ -743,46 +693,8 @@ impl Communicator {
         }
     }
 
-    /// `MPI_Alltoallv`: `send[j]` is the (arbitrary-length) slice for rank
-    /// `j`; the result's entry `j` is what rank `j` sent to the caller.
-    pub fn alltoallv<T: Clone + Send + Sync + Checksum + 'static>(
-        &self,
-        send: Vec<Vec<T>>,
-        tag: u32,
-    ) -> Vec<Vec<T>> {
-        self.try_alltoallv(send, tag)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Communicator::alltoallv`], surfacing timeouts, world aborts
-    /// and checksum failures as [`VmpiError`] values. Thin wrapper over
-    /// [`Communicator::try_alltoallv_into`] (flatten, exchange, split).
-    pub fn try_alltoallv<T: Clone + Send + Sync + Checksum + 'static>(
-        &self,
-        send: Vec<Vec<T>>,
-        tag: u32,
-    ) -> Result<Vec<Vec<T>>, VmpiError> {
-        let size = self.size();
-        assert_eq!(send.len(), size, "alltoallv: need one slice per rank");
-        let send_counts: Vec<usize> = send.iter().map(|v| v.len()).collect();
-        let flat: Vec<T> = send.into_iter().flatten().collect();
-        let mut recv = Vec::new();
-        let mut recv_counts = Vec::new();
-        self.try_alltoallv_into(&flat, &send_counts, &mut recv, &mut recv_counts, tag)?;
-        let mut out = Vec::with_capacity(size);
-        let mut off = 0;
-        for &c in &recv_counts {
-            out.push(recv[off..off + c].to_vec());
-            off += c;
-        }
-        Ok(out)
-    }
-
-    /// Zero-copy [`Communicator::alltoallv`] (see
-    /// [`Communicator::try_alltoallv_into`]).
-    ///
-    /// # Panics
-    /// On timeout / world abort / checksum failure.
+    /// [`Communicator::try_alltoallv_into`], panicking on timeout / world
+    /// abort / checksum failure.
     pub fn alltoallv_into<T: Clone + Send + Sync + Checksum + 'static>(
         &self,
         send: &[T],
@@ -831,7 +743,7 @@ impl Communicator {
         let t0 = self.now();
         let bytes = std::mem::size_of_val(send);
         let sums = pack_sums_var(send, send_counts);
-        let all: Arc<Vec<VarStaged<T>>> = self.try_collective_tampered(
+        let all: Arc<Vec<VarStaged<T>>> = self.try_collective(
             CollKind::Alltoallv,
             tag,
             (send.to_vec(), send_counts.to_vec(), sums),
@@ -945,10 +857,10 @@ impl Communicator {
     /// Split-phase `MPI_Ialltoall`: posts the contribution and returns a
     /// request; the transfer completes as soon as every rank has *posted*,
     /// so the caller can compute while the exchange is in flight and
-    /// [`AlltoallRequest::wait`] later. Matching follows the same
-    /// `(tag, sequence)` rules as [`Communicator::alltoall`] — the two may
-    /// be mixed on one communicator as long as every rank issues them in
-    /// the same order per tag.
+    /// [`AlltoallRequest::wait_into`] later. Matching follows the same
+    /// `(tag, sequence)` rules as [`Communicator::alltoall_into`] — the two
+    /// may be mixed on one communicator as long as every rank issues them
+    /// in the same order per tag.
     pub fn ialltoall<T: Clone + Send + Checksum + 'static>(
         &self,
         send: &[T],
@@ -963,7 +875,7 @@ impl Communicator {
         );
         let count = send.len() / size;
         let bytes = std::mem::size_of_val(send);
-        let inner = self.collective_post_tampered(
+        let inner = self.collective_post(
             CollKind::Alltoall,
             tag,
             (send.to_vec(), pack_sums_uniform(send, count, size)),
@@ -1330,19 +1242,15 @@ impl<T: Clone + Send + Checksum + 'static> AlltoallRequest<T> {
         self.inner.t_post
     }
 
-    /// Blocks until the exchange completes and returns the received buffer
-    /// (chunk `j` came from rank `j`). Records the comm event spanning the
-    /// *wait* only — overlapped transfer time does not appear as
+    /// Blocks until the exchange completes and writes the received buffer
+    /// into caller-owned `recv` (previous contents replaced; chunk `j` came
+    /// from rank `j`), surfacing timeouts, world aborts (e.g. a peer
+    /// dropping its request) and checksum failures as [`VmpiError`] values
+    /// — on error `recv` is left untouched. Records the comm event spanning
+    /// the *wait* only — overlapped transfer time does not appear as
     /// communication, exactly the accounting the overlap optimisation is
     /// after.
-    pub fn wait(self) -> Vec<T> {
-        self.try_wait().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`AlltoallRequest::wait`], surfacing timeouts, world aborts
-    /// (e.g. a peer dropping its request) and checksum failures as
-    /// [`VmpiError`] values.
-    pub fn try_wait(self) -> Result<Vec<T>, VmpiError> {
+    pub fn try_wait_into(self, recv: &mut Vec<T>) -> Result<(), VmpiError> {
         let t0 = self.comm.now();
         let bytes = self.bytes;
         let tag = self.tag;
@@ -1352,18 +1260,11 @@ impl<T: Clone + Send + Checksum + 'static> AlltoallRequest<T> {
         verify_uniform_chunks(&data, count, &sums, tag)?;
         let t1 = comm.now();
         comm.record(CommOp::Alltoall, bytes, t0, t1);
-        Ok(data)
-    }
-
-    /// [`AlltoallRequest::try_wait`] into a caller-owned buffer (previous
-    /// contents replaced) — the arena-path variant.
-    pub fn try_wait_into(self, recv: &mut Vec<T>) -> Result<(), VmpiError> {
-        *recv = self.try_wait()?;
+        *recv = data;
         Ok(())
     }
 
-    /// [`AlltoallRequest::wait`] into a caller-owned buffer (previous
-    /// contents replaced), panicking on transport errors.
+    /// [`AlltoallRequest::try_wait_into`], panicking on transport errors.
     pub fn wait_into(self, recv: &mut Vec<T>) {
         self.try_wait_into(recv).unwrap_or_else(|e| panic!("{e}"))
     }

@@ -80,7 +80,9 @@ fn alltoall_transposes_chunks() {
         let send: Vec<u64> = (0..n * count)
             .map(|i| (me * 100 + (i / count) * 10 + i % count) as u64)
             .collect();
-        comm.alltoall(&send, 0)
+        let mut recv = Vec::new();
+        comm.alltoall_into(&send, &mut recv, 0);
+        recv
     });
     for (me, recv) in out.into_iter().enumerate() {
         assert_eq!(recv.len(), n * count);
@@ -99,15 +101,19 @@ fn alltoallv_with_ragged_counts() {
     let out = world(n).run(|comm| {
         let me = comm.rank();
         // Send `dst + 1` copies of `me*10 + dst` to each rank.
-        let send: Vec<Vec<u32>> = (0..n)
-            .map(|dst| vec![(me * 10 + dst) as u32; dst + 1])
+        let counts: Vec<usize> = (1..=n).collect();
+        let send: Vec<u32> = (0..n)
+            .flat_map(|dst| vec![(me * 10 + dst) as u32; dst + 1])
             .collect();
-        comm.alltoallv(send, 0)
+        let (mut recv, mut recv_counts) = (Vec::new(), Vec::new());
+        comm.alltoallv_into(&send, &counts, &mut recv, &mut recv_counts, 0);
+        (recv, recv_counts)
     });
-    for (me, recv) in out.into_iter().enumerate() {
-        assert_eq!(recv.len(), n);
-        for (j, part) in recv.iter().enumerate() {
-            assert_eq!(part, &vec![(j * 10 + me) as u32; me + 1], "rank {me} from {j}");
+    for (me, (recv, recv_counts)) in out.into_iter().enumerate() {
+        assert_eq!(recv_counts, vec![me + 1; n]);
+        assert_eq!(recv.len(), n * (me + 1));
+        for (j, part) in recv.chunks(me + 1).enumerate() {
+            assert_eq!(part, &vec![(j * 10 + me) as u32; me + 1][..], "rank {me} from {j}");
         }
     }
 }
@@ -144,23 +150,24 @@ fn alltoall_into_reuses_caller_buffer_across_rounds() {
 }
 
 #[test]
-fn alltoall_into_matches_owning_api() {
+fn alltoall_into_matches_try_form() {
     let n = 3;
     let out = world(n).run(|comm| {
         let me = comm.rank();
         let send: Vec<u32> = (0..n * 2).map(|i| (me * 10 + i) as u32).collect();
-        let owned = comm.alltoall(&send, 0);
+        let mut tried = Vec::new();
+        comm.try_alltoall_into(&send, &mut tried, 0).expect("healthy world");
         let mut recv = Vec::new();
         comm.alltoall_into(&send, &mut recv, 1);
-        (owned, recv)
+        (tried, recv)
     });
-    for (owned, recv) in out {
-        assert_eq!(owned, recv);
+    for (tried, recv) in out {
+        assert_eq!(tried, recv);
     }
 }
 
 #[test]
-fn alltoallv_into_flat_segments_match_nested_api() {
+fn alltoallv_into_flat_segments_match_try_form() {
     let n = 3;
     let out = world(n).run(|comm| {
         let me = comm.rank();
@@ -169,17 +176,21 @@ fn alltoallv_into_flat_segments_match_nested_api() {
             .collect();
         let counts: Vec<usize> = nested.iter().map(|v| v.len()).collect();
         let flat: Vec<u32> = nested.iter().flatten().copied().collect();
-        let owned = comm.alltoallv(nested, 0);
+        let (mut tried, mut tried_counts) = (Vec::new(), Vec::new());
+        comm.try_alltoallv_into(&flat, &counts, &mut tried, &mut tried_counts, 0)
+            .expect("healthy world");
         let mut recv = Vec::new();
         let mut recv_counts = Vec::new();
         comm.alltoallv_into(&flat, &counts, &mut recv, &mut recv_counts, 1);
-        (owned, recv, recv_counts)
+        (tried, tried_counts, recv, recv_counts)
     });
-    for (owned, recv, recv_counts) in out {
-        let flat_owned: Vec<u32> = owned.iter().flatten().copied().collect();
-        let owned_counts: Vec<usize> = owned.iter().map(|v| v.len()).collect();
-        assert_eq!(flat_owned, recv);
-        assert_eq!(owned_counts, recv_counts);
+    for (me, (tried, tried_counts, recv, recv_counts)) in out.into_iter().enumerate() {
+        // Segment j is what rank j addressed to `me`.
+        let expect: Vec<u32> = (0..n).flat_map(|j| vec![(j * 10 + me) as u32; me + 1]).collect();
+        assert_eq!(tried, expect);
+        assert_eq!(tried_counts, vec![me + 1; n]);
+        assert_eq!(tried, recv);
+        assert_eq!(tried_counts, recv_counts);
     }
 }
 
@@ -286,7 +297,9 @@ fn split_groups_are_independent() {
     let out = world(4).run(|comm| {
         let sub = comm.split((comm.rank() % 2) as u64, comm.rank());
         let send = vec![comm.rank() as u64; sub.size()];
-        sub.alltoall(&send, 0)
+        let mut recv = Vec::new();
+        sub.alltoall_into(&send, &mut recv, 0);
+        recv
     });
     assert_eq!(out[0], vec![0, 2]);
     assert_eq!(out[2], vec![0, 2]);
@@ -326,7 +339,9 @@ fn concurrent_tagged_alltoalls_from_threads() {
                     let send: Vec<u64> = (0..n)
                         .map(|dst| (tag as usize * 1000 + comm.rank() * 10 + dst) as u64)
                         .collect();
-                    (tag, comm.alltoall(&send, tag))
+                    let mut recv = Vec::new();
+                    comm.alltoall_into(&send, &mut recv, tag);
+                    (tag, recv)
                 }));
             }
             handles
@@ -367,7 +382,7 @@ fn trace_records_comm_operations() {
         .run(|comm| {
             comm.barrier();
             let send = vec![1u8, 2];
-            comm.alltoall(&send, 0);
+            comm.alltoall_into(&send, &mut Vec::new(), 0);
         });
     let trace = sink.finish();
     let barriers = trace.comm.iter().filter(|r| r.op == CommOp::Barrier).count();
@@ -415,7 +430,8 @@ fn large_alltoall_moves_megabytes() {
     let out = world(n).run(|comm| {
         let me = comm.rank() as f64;
         let send: Vec<f64> = (0..n * count).map(|i| me + i as f64 * 1e-9).collect();
-        let recv = comm.alltoall(&send, 0);
+        let mut recv = Vec::new();
+        comm.alltoall_into(&send, &mut recv, 0);
         recv.iter().sum::<f64>()
     });
     assert_eq!(out.len(), n);

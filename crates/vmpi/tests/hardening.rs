@@ -13,7 +13,7 @@ use std::time::Duration;
 // ---------------------------------------------------------------------
 
 /// Scenario 1: a rank never contributes to a collective. The survivors'
-/// waits used to hang (then panic); `try_alltoall` now returns a timeout
+/// waits used to hang (then panic); `try_alltoall_into` now returns a timeout
 /// error whose diagnostic shows who arrived and who is missing.
 #[test]
 fn lost_contribution_times_out_with_diagnostic() {
@@ -25,7 +25,7 @@ fn lost_contribution_times_out_with_diagnostic() {
                 return None;
             }
             let send = vec![comm.rank() as u64; 3];
-            Some(comm.try_alltoall(&send, 0))
+            Some(comm.try_alltoall_into(&send, &mut Vec::new(), 0))
         });
     assert!(out[2].is_none());
     for r in [&out[0], &out[1]] {
@@ -91,10 +91,10 @@ fn dropped_request_aborts_world_without_leaking_slots() {
                 // Release the peers (p2p still works after the abort).
                 comm.send(1, 99, vec![0u8]);
                 comm.send(2, 99, vec![0u8]);
-                Ok(vec![])
+                Ok(())
             } else {
                 comm.recv::<u8>(0, 99);
-                let r = comm.try_alltoall(&[9u8, 9, 9], 7);
+                let r = comm.try_alltoall_into(&[9u8, 9, 9], &mut Vec::new(), 7);
                 assert_eq!(comm.pending_collectives(), 0, "slot leaked at peer");
                 r
             }
@@ -189,7 +189,8 @@ fn chaos_preserves_collective_results() {
     let run = |world: World| {
         world.with_timeout(Duration::from_secs(20)).run(|comm| {
             let send: Vec<u64> = (0..n * 2).map(|i| (comm.rank() * 100 + i) as u64).collect();
-            let a2a = comm.alltoall(&send, 1);
+            let mut a2a = Vec::new();
+            comm.alltoall_into(&send, &mut a2a, 1);
             let sum = comm.allreduce_sum(vec![comm.rank() as f64]);
             (a2a, sum)
         })
@@ -291,14 +292,14 @@ fn duplicate_contribution_is_a_typed_protocol_error() {
                 // Fresh seq counter on `b`: this second post lands on the
                 // same (kind, tag, seq) instance — a duplicate.
                 let req2 = b.ialltoall(&[3u8, 4], 0);
-                let r2 = req2.try_wait().map(|_| ());
-                let r1 = req1.try_wait().map(|_| ());
+                let r2 = req2.try_wait_into(&mut Vec::new());
+                let r1 = req1.try_wait_into(&mut Vec::new());
                 // The world is aborted; p2p still works to release rank 1.
                 comm.send(1, 9, vec![0u8]);
                 vec![r1, r2]
             } else {
                 comm.recv::<u8>(0, 9);
-                vec![b.try_alltoall(&[5u8, 6], 0).map(|_| ())]
+                vec![b.try_alltoall_into(&[5u8, 6], &mut Vec::new(), 0)]
             }
         });
     for r in out.iter().flatten() {

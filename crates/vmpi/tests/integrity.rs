@@ -45,8 +45,8 @@ fn clean_exchange_never_trips_a_checksum() {
         let send = payload(comm.rank(), size, 3);
         let mut recv = Vec::new();
         comm.try_alltoall_into(&send, &mut recv, 7)?;
-        let req = comm.ialltoall(&send, 8);
-        let nb = req.try_wait()?;
+        let mut nb = Vec::new();
+        comm.ialltoall(&send, 8).try_wait_into(&mut nb)?;
         assert_eq!(nb, recv, "blocking and split-phase must agree");
         Ok::<Vec<f64>, VmpiError>(recv)
     });
@@ -112,7 +112,10 @@ fn split_phase_wait_detects_corruption() {
     let size = 2;
     let out = corrupting_world(size, 99, 1.0).run(move |comm| {
         let send = payload(comm.rank(), size, 4);
-        comm.ialltoall(&send, 3).try_wait().expect_err("struck")
+        let mut recv = vec![-1.0f64];
+        let err = comm.ialltoall(&send, 3).try_wait_into(&mut recv).expect_err("struck");
+        assert_eq!(recv, vec![-1.0], "recv untouched on detection");
+        err
     });
     for e in out {
         assert!(matches!(e, VmpiError::Integrity { tag: 3, .. }));

@@ -18,8 +18,9 @@ fn ialltoall_matches_blocking_semantics() {
         let send: Vec<u64> = (0..n * count)
             .map(|i| (me * 100 + (i / count) * 10 + i % count) as u64)
             .collect();
-        let req = comm.ialltoall(&send, 0);
-        req.wait()
+        let mut recv = Vec::new();
+        comm.ialltoall(&send, 0).wait_into(&mut recv);
+        recv
     });
     for (me, recv) in out.into_iter().enumerate() {
         for j in 0..n {
@@ -43,7 +44,8 @@ fn work_happens_between_post_and_wait() {
         for i in 0..10_000 {
             acc += (i as f64).sqrt();
         }
-        let recv = req.wait();
+        let mut recv = Vec::new();
+        req.wait_into(&mut recv);
         (recv, acc)
     });
     for (recv, _) in out {
@@ -64,7 +66,9 @@ fn test_eventually_reports_completion() {
             std::thread::yield_now();
             assert!(polls < 10_000_000, "test() never became true");
         }
-        req.wait()
+        let mut recv = Vec::new();
+        req.wait_into(&mut recv);
+        recv
     });
     assert_eq!(out[0], vec![0, 1]);
     assert_eq!(out[1], vec![0, 1]);
@@ -80,7 +84,13 @@ fn several_requests_in_flight() {
                 comm.ialltoall(&send, tag)
             })
             .collect();
-        reqs.into_iter().map(|r| r.wait()).collect::<Vec<_>>()
+        reqs.into_iter()
+            .map(|r| {
+                let mut recv = Vec::new();
+                r.wait_into(&mut recv);
+                recv
+            })
+            .collect::<Vec<_>>()
     });
     for recv_sets in out {
         for (tag, recv) in recv_sets.iter().enumerate() {
@@ -97,9 +107,15 @@ fn several_requests_in_flight() {
 fn mixes_with_blocking_alltoall_in_order() {
     let out = world(2).run(|comm| {
         let a = comm.ialltoall(&[comm.rank() as u32, comm.rank() as u32], 0);
-        let b = comm.alltoall(&[10 + comm.rank() as u32, 10 + comm.rank() as u32], 0);
-        let a = a.wait();
-        (a, b)
+        let mut b = Vec::new();
+        comm.alltoall_into(
+            &[10 + comm.rank() as u32, 10 + comm.rank() as u32],
+            &mut b,
+            0,
+        );
+        let mut a_recv = Vec::new();
+        a.wait_into(&mut a_recv);
+        (a_recv, b)
     });
     for (a, b) in out {
         assert_eq!(a, vec![0, 1]);
@@ -120,7 +136,8 @@ fn wait_records_only_the_wait_interval() {
             // the sleep, so the recorded wait must be much shorter.
             std::thread::sleep(Duration::from_millis(30));
             let posted = req.posted_at();
-            let out = req.wait();
+            let mut out = Vec::new();
+            req.wait_into(&mut out);
             (posted, out)
         });
     let trace = sink.finish();

@@ -17,7 +17,9 @@ proptest! {
                 let send: Vec<u64> = (0..n * count)
                     .map(|i| (me * 10_000 + i) as u64)
                     .collect();
-                comm.alltoall(&send, 0)
+                let mut recv = Vec::new();
+                comm.alltoall_into(&send, &mut recv, 0);
+                recv
             });
         for (me, recv) in out.into_iter().enumerate() {
             for j in 0..n {
@@ -44,23 +46,26 @@ proptest! {
             .with_timeout(Duration::from_secs(20))
             .run(move |comm| {
                 let me = comm.rank();
-                let send: Vec<Vec<u64>> = (0..n)
-                    .map(|dst| {
-                        (0..matrix_ref[me][dst])
-                            .map(|k| (me * 1_000_000 + dst * 1000 + k) as u64)
-                            .collect()
+                let send: Vec<u64> = (0..n)
+                    .flat_map(|dst| {
+                        (0..matrix_ref[me][dst]).map(move |k| (me * 1_000_000 + dst * 1000 + k) as u64)
                     })
                     .collect();
-                comm.alltoallv(send, 0)
+                let (mut recv, mut recv_counts) = (Vec::new(), Vec::new());
+                comm.alltoallv_into(&send, &matrix_ref[me], &mut recv, &mut recv_counts, 0);
+                (recv, recv_counts)
             });
-        for (me, recv) in out.into_iter().enumerate() {
-            prop_assert_eq!(recv.len(), n);
-            for (src, part) in recv.iter().enumerate() {
+        for (me, (recv, recv_counts)) in out.into_iter().enumerate() {
+            prop_assert_eq!(recv_counts.len(), n);
+            let mut off = 0;
+            for (src, &len) in recv_counts.iter().enumerate() {
                 let expect: Vec<u64> = (0..matrix[src][me])
                     .map(|k| (src * 1_000_000 + me * 1000 + k) as u64)
                     .collect();
-                prop_assert_eq!(part, &expect, "dst {} from {}", me, src);
+                prop_assert_eq!(&recv[off..off + len], &expect[..], "dst {} from {}", me, src);
+                off += len;
             }
+            prop_assert_eq!(off, recv.len());
         }
     }
 

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example ompss_pipeline`
 
-use fftxlib_repro::core::{run, FftxConfig, Mode, Problem};
+use fftxlib_repro::core::{run_policy, FftxConfig, Mode, Problem, SchedulerPolicy};
 use fftxlib_repro::fft::max_dist;
 use fftxlib_repro::trace::{render_timeline, TimelineOptions};
 
@@ -20,7 +20,7 @@ fn main() {
         let mut config = base;
         config.mode = mode;
         let problem = Problem::new(config);
-        let out = run(&problem);
+        let out = run_policy(&problem, SchedulerPolicy::for_mode(mode));
 
         match &reference {
             None => reference = Some(out.bands.clone()),
@@ -78,7 +78,7 @@ fn main() {
     let mut config = base;
     config.mode = Mode::TaskPerFft;
     let problem = Problem::new(config);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskPerFft);
     println!("Compute timeline of the task-per-FFT run (lanes are rank x worker):");
     print!(
         "{}",

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use fftxlib_repro::core::{run, FftxConfig, Mode, Problem};
+use fftxlib_repro::core::{run_policy, FftxConfig, Mode, Problem, SchedulerPolicy};
 use fftxlib_repro::fft::max_dist;
 use fftxlib_repro::pw::apply_vloc;
 
@@ -32,7 +32,7 @@ fn main() {
 
     // Run the distributed kernel (forward FFT -> V(r) -> backward FFT for
     // every band) on virtual MPI ranks.
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
     println!("FFT phase completed in {:.4}s (wall time, {} virtual ranks)", out.fft_phase_s, config.vmpi_ranks());
 
     // Verify against the serial reference.

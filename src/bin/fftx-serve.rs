@@ -204,6 +204,22 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
+    traffic.check()?;
+    if serve.admission.queue_cap == 0 {
+        return Err("--queue-cap must be at least 1".into());
+    }
+    for (flag, p) in [
+        ("--p-death", faults.p_death),
+        ("--p-slow", faults.p_slow),
+        ("--p-partition", faults.p_partition),
+    ] {
+        if !(0.0..=1.0).contains(&p) {
+            return Err(format!("{flag} must be a probability in [0, 1], got {p}"));
+        }
+    }
+    if !(faults.slow_max.is_finite() && faults.slow_max >= 1.0) {
+        return Err(format!("--slow-max must be a finite factor >= 1, got {}", faults.slow_max));
+    }
     if let Some(seed) = chaos_seed {
         serve.chaos = Some(ServeChaos {
             seed,

@@ -14,8 +14,8 @@
 //! (`serial|step|fft|async|hybrid`); an explicit `--mode` wins.
 
 use fftxlib_repro::core::{
-    load_env, resolve_decomp, run, run_modeled, valid_decomps, valid_policies, DecompChoice,
-    FftxConfig, Mode, Problem, SchedulerPolicy,
+    load_env, resolve_decomp, run_modeled, run_policy, valid_decomps, valid_policies,
+    DecompChoice, FftxConfig, Mode, Problem, SchedulerPolicy,
 };
 use fftxlib_repro::fft::max_dist;
 use fftxlib_repro::pw::apply_vloc;
@@ -142,6 +142,7 @@ fn parse_args() -> Result<Args, String> {
         decomp: fftxlib_repro::core::Decomposition::Slab,
         seed,
     };
+    config.check()?;
     // `auto` compares the two decompositions on the calibrated network
     // model for this exact geometry; fixed choices pass through.
     config.decomp = resolve_decomp(decomp, &config);
@@ -269,13 +270,12 @@ fn main() -> ExitCode {
             }
         }
     }
-    args.config.validate();
     let problem = Problem::new(args.config);
     print_header(&args.config, &problem, args.engine);
 
     match args.engine {
         Engine::Real => {
-            let out = run(&problem);
+            let out = run_policy(&problem, SchedulerPolicy::for_mode(args.config.mode));
             println!("\nFFT phase wall time: {:.4} s", out.fft_phase_s);
             if args.verify {
                 let bands: Vec<Vec<_>> =

@@ -2,7 +2,7 @@
 //! distributed executions against the serial reference, trace recording,
 //! and the analysis pipeline (POP metrics, timelines, histograms).
 
-use fftxlib_repro::core::{run, FftxConfig, Mode, Problem};
+use fftxlib_repro::core::{run_policy, FftxConfig, Mode, Problem, SchedulerPolicy};
 use fftxlib_repro::fft::max_dist;
 use fftxlib_repro::pw::apply_vloc;
 use fftxlib_repro::trace::{
@@ -19,7 +19,7 @@ fn all_modes_match_reference_through_public_api() {
     for mode in [Mode::Original, Mode::TaskPerStep, Mode::TaskPerFft] {
         let cfg = FftxConfig::small(2, 2, mode);
         let problem = Problem::new(cfg);
-        let out = run(&problem);
+        let out = run_policy(&problem, SchedulerPolicy::for_mode(mode));
         let expect = reference(&problem);
         for (b, (got, want)) in out.bands.iter().zip(&expect).enumerate() {
             assert!(
@@ -35,7 +35,7 @@ fn all_modes_match_reference_through_public_api() {
 fn trace_feeds_the_analysis_pipeline() {
     let cfg = FftxConfig::small(2, 2, Mode::Original);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
 
     // POP metrics compute without NaNs and within sane ranges.
     let f = intra_factors(&out.trace, None, None);
@@ -65,7 +65,7 @@ fn trace_feeds_the_analysis_pipeline() {
 fn task_mode_records_task_lifecycles() {
     let cfg = FftxConfig::small(2, 2, Mode::TaskPerFft);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskPerFft);
     assert_eq!(out.trace.tasks.len(), cfg.nbnd * cfg.nr);
     for t in &out.trace.tasks {
         assert!(t.label.starts_with("fft-band-"));
@@ -77,7 +77,7 @@ fn task_mode_records_task_lifecycles() {
 fn step_mode_chains_are_ordered_per_band() {
     let cfg = FftxConfig::small(1, 2, Mode::TaskPerStep);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::TaskPerStep);
     // For each band, the 9 step tasks must execute in pipeline order.
     let order = [
         "pack", "fftz-inv", "scatter-fw", "fftxy-inv", "vofr", "fftxy-fw", "scatter-bw",
@@ -123,7 +123,7 @@ fn energy_is_bounded_by_potential_extrema() {
     // restricted to the sphere (projection only removes energy).
     let cfg = FftxConfig::small(2, 2, Mode::Original);
     let problem = Problem::new(cfg);
-    let out = run(&problem);
+    let out = run_policy(&problem, SchedulerPolicy::Serial);
     let vmax = problem.v.iter().cloned().fold(0.0_f64, f64::max);
     for b in 0..cfg.nbnd {
         let before = fftxlib_repro::pw::band_norm2(&problem.band(b)).sqrt();
