@@ -455,24 +455,53 @@ mod tests {
     #[test]
     fn plan_scatter_matches_steps_reference() {
         let l = layout(3, 2);
-        let g = 2;
-        let plan = ExecPlan::for_layout(&l, g);
-        let zbuf: Vec<Complex64> = (0..plan.zbuf_len())
-            .map(|n| c64(n as f64, -(n as f64)))
+        let plans: Vec<ExecPlan> = (0..l.r).map(|g| ExecPlan::for_layout(&l, g)).collect();
+        let zbufs: Vec<Vec<Complex64>> = plans
+            .iter()
+            .enumerate()
+            .map(|(g, p)| {
+                (0..p.zbuf_len())
+                    .map(|n| c64(g as f64 * 1e6 + n as f64, -(n as f64)))
+                    .collect()
+            })
             .collect();
-        let want = steps::scatter_pack(&l, g, &zbuf);
-        let mut send = Vec::new();
-        plan.scatter_pack(&zbuf, &mut send);
-        assert_eq!(send, want);
+        let sends: Vec<Vec<Complex64>> = plans
+            .iter()
+            .zip(&zbufs)
+            .map(|(p, z)| {
+                let mut send = Vec::new();
+                p.scatter_pack(z, &mut send);
+                send
+            })
+            .collect();
+        let g = 2;
+        let (plan, zbuf, send) = (&plans[g], &zbufs[g], &sends[g]);
+        // Padding slots are dead (NaN under FFTX_ARENA_POISON=1): the pack
+        // matches the reference in every payload slot, and bit for bit
+        // when unpoisoned.
+        let want = steps::scatter_pack(&l, g, zbuf);
+        assert_eq!(send.len(), want.len());
+        for gp in 0..l.r {
+            let (gz0, gz1) = plan.plane_range[gp];
+            for st in 0..plan.nst {
+                let at = gp * plan.chunk + st * plan.max_npp;
+                assert_eq!(send[at..at + gz1 - gz0], want[at..at + gz1 - gz0]);
+            }
+        }
+        if !arena_poison() {
+            assert_eq!(*send, want);
+        }
         // Echoed chunks rebuild the z buffer (same shape both ways).
         let mut back = vec![Complex64::ZERO; zbuf.len()];
-        plan.zbuf_from_scatter(&send, &mut back);
-        assert_eq!(back, zbuf);
-        // Plane deposit/extract agree with the reference too.
+        plan.zbuf_from_scatter(send, &mut back);
+        assert_eq!(back, *zbuf);
+        // Plane deposit/extract agree with the reference on what a real
+        // exchange delivers (an echo of our own chunks would read padding).
+        let recv = &emulate_alltoall(&sends, l.r)[g];
         let mut planes = vec![Complex64::ZERO; plan.planes_len()];
         let mut want_planes = planes.clone();
-        plan.scatter_unpack_to_planes(&send, &mut planes);
-        steps::scatter_unpack_to_planes(&l, g, &send, &mut want_planes);
+        plan.scatter_unpack_to_planes(recv, &mut planes);
+        steps::scatter_unpack_to_planes(&l, g, recv, &mut want_planes);
         assert_eq!(planes, want_planes);
         let want_bw = steps::planes_to_scatter_sends(&l, g, &planes);
         let mut bw = Vec::new();
@@ -586,35 +615,52 @@ mod tests {
 
     #[test]
     fn arena_reuse_is_stable_across_rounds() {
-        // Re-running the same movement through a warm arena must reproduce
-        // the first round bit for bit (stale padding notwithstanding).
+        // Re-running the same movement through warm arenas must reproduce
+        // the first round bit for bit (stale padding notwithstanding). Every
+        // group's plan takes part in emulated exchanges, so each unpack
+        // reads what its peers packed and never a padding slot.
         let l = layout(2, 2);
-        let g = 0;
-        let plan = ExecPlan::for_layout(&l, g);
-        let shares: Vec<Vec<Complex64>> = (0..l.t)
-            .map(|j| marked_share(&l, g * l.t + j, 3))
+        let plans: Vec<ExecPlan> = (0..l.r).map(|g| ExecPlan::for_layout(&l, g)).collect();
+        let streams: Vec<Vec<Complex64>> = (0..l.r)
+            .map(|g| (0..l.t).flat_map(|j| marked_share(&l, g * l.t + j, 3)).collect())
             .collect();
-        let stream: Vec<Complex64> = shares.iter().flatten().copied().collect();
-        let mut a = BufferArena::new();
-        let mut first: Option<(Vec<Complex64>, Vec<Complex64>)> = None;
+        let mut arenas: Vec<BufferArena> = (0..l.r).map(|_| BufferArena::new()).collect();
+        let mut first: Option<Vec<Vec<Complex64>>> = None;
         for _ in 0..3 {
-            plan.prep(&mut a.zbuf, &mut a.planes);
-            plan.deposit_stream(&stream, &mut a.zbuf);
-            plan.scatter_pack(&a.zbuf, &mut a.scatter_send);
-            // Loopback: every peer echoes our chunk layout.
-            a.scatter_recv.clear();
-            a.scatter_recv.extend_from_slice(&a.scatter_send);
-            plan.scatter_unpack_to_planes(&a.scatter_recv, &mut a.planes);
-            plan.planes_to_scatter(&a.planes, &mut a.scatter_send);
-            let mut counts = Vec::new();
-            let mut out = Vec::new();
-            plan.extract_stream(&a.zbuf, &mut out, &mut counts);
+            for ((plan, a), stream) in plans.iter().zip(&mut arenas).zip(&streams) {
+                plan.prep(&mut a.zbuf, &mut a.planes);
+                plan.deposit_stream(stream, &mut a.zbuf);
+                plan.scatter_pack(&a.zbuf, &mut a.scatter_send);
+            }
+            let sends: Vec<Vec<Complex64>> =
+                arenas.iter().map(|a| a.scatter_send.clone()).collect();
+            let recvs = emulate_alltoall(&sends, l.r);
+            for ((plan, a), recv) in plans.iter().zip(&mut arenas).zip(&recvs) {
+                a.scatter_recv.clear();
+                a.scatter_recv.extend_from_slice(recv);
+                plan.scatter_unpack_to_planes(&a.scatter_recv, &mut a.planes);
+                plan.planes_to_scatter(&a.planes, &mut a.scatter_send);
+            }
+            let sends: Vec<Vec<Complex64>> =
+                arenas.iter().map(|a| a.scatter_send.clone()).collect();
+            let mut round = Vec::new();
+            for (((plan, a), recv), stream) in plans
+                .iter()
+                .zip(&mut arenas)
+                .zip(emulate_alltoall(&sends, l.r))
+                .zip(&streams)
+            {
+                plan.zbuf_from_scatter(&recv, &mut a.zbuf);
+                let mut counts = Vec::new();
+                let mut out = Vec::new();
+                plan.extract_stream(&a.zbuf, &mut out, &mut counts);
+                // Forward and back without a transform is the identity.
+                assert_eq!(&out, stream);
+                round.push(a.planes.clone());
+            }
             match &first {
-                None => first = Some((a.planes.clone(), out)),
-                Some((p0, o0)) => {
-                    assert_eq!(&a.planes, p0);
-                    assert_eq!(&out, o0);
-                }
+                None => first = Some(round),
+                Some(p0) => assert_eq!(&round, p0),
             }
         }
     }

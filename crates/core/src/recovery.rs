@@ -48,15 +48,17 @@ use crate::config::Mode;
 use crate::plan::BufferArena;
 use crate::problem::Problem;
 use crate::recorder::Recorder;
-use crate::stages::{finish_run, RunOutput, ScatterComms, StagePlan};
+use crate::stages::{
+    finish_run, in_world, run_guarded, BatchGuard, PlainLeg, RankShares, RunOutput, ScatterComms,
+    StagePlan,
+};
 use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig, TaskCrashes};
 use fftx_fft::Complex64;
 use fftx_pw::{
     assemble_shares, extract_share, factorise_rt, StickDist, StickSet, TaskGroupLayout,
 };
 use fftx_taskrt::{RetryPolicy, Runtime, Shared, TaskError};
-use fftx_trace::TraceSink;
-use fftx_vmpi::{Communicator, VmpiError, World};
+use fftx_vmpi::{Communicator, VmpiError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -90,11 +92,12 @@ pub struct RecoveryStats {
     pub checkpoint_bytes: u64,
 }
 
-// The shared batch runner lives in the stage graph now:
-// [`crate::stages::StageRunner::band_batch`] is the fallible replay unit
-// (prep, collective pack, transform, collective unpack) and
-// [`crate::stages::StageRunner::band_fused`] the idempotent per-band task
-// body — one implementation for the engines and the recovery layer alike.
+// The shared batch runner lives in the stage graph: `band_batch` is the
+// fallible replay unit (prep, collective pack, transform, collective
+// unpack) of the one serial batch loop, which mechanism 2 guards with
+// checkpoints, and [`crate::stages::StageRunner::band_fused`] is the
+// idempotent per-band task body — one implementation for the engines and
+// the recovery layer alike.
 
 // ---------------------------------------------------------------------
 // Mechanism 1: task re-execution
@@ -120,9 +123,8 @@ pub fn run_retry(
         base_backoff: recovery.base_backoff,
         max_backoff: recovery.max_backoff,
     };
-    let sink = TraceSink::new();
-    let world = World::new(cfg.vmpi_ranks()).with_trace(sink.clone());
-    let results = world.run(|comm| rank_retry(problem, comm, crashes, policy));
+    let (results, sink, _) =
+        in_world(problem, None, |comm| rank_retry(problem, comm, crashes, policy));
     let mut plain = Vec::with_capacity(results.len());
     let mut retries = 0u64;
     for r in results {
@@ -140,8 +142,6 @@ pub fn run_retry(
     };
     Ok((out, stats))
 }
-
-type RankShares = Vec<Vec<Complex64>>;
 
 fn rank_retry(
     problem: &Arc<Problem>,
@@ -235,109 +235,33 @@ fn rank_retry(
 /// timeout (injected by `aborts`, keyed by batch index — symmetric on every
 /// rank) rolls the batch back to the checkpoint and replays it, up to
 /// [`RecoveryConfig::max_rollbacks`] times before the error escalates.
+/// This is the serial batch loop with its checkpoints armed.
 pub fn run_rollback(
     problem: &Arc<Problem>,
     aborts: Option<BatchAborts>,
     recovery: &RecoveryConfig,
 ) -> Result<(RunOutput, RecoveryStats), VmpiError> {
-    let cfg = problem.config;
     assert!(
-        matches!(cfg.mode, Mode::Original),
+        matches!(problem.config.mode, Mode::Original),
         "run_rollback: config mode must be Original"
     );
-    let sink = TraceSink::new();
-    let world = World::new(cfg.vmpi_ranks()).with_trace(sink.clone());
-    let results = world.run(|comm| rank_rollback(problem, comm, aborts, recovery));
-    let mut plain = Vec::with_capacity(results.len());
-    let mut rollbacks = 0u64;
-    let mut ckpt_bytes = 0u64;
-    for r in results {
-        let (shares, span, n, bytes) = r?;
-        // Rollback decisions are rank-symmetric; count each once.
-        rollbacks = rollbacks.max(n);
-        ckpt_bytes += bytes;
-        plain.push((shares, span));
-    }
-    sink.counter("recovery.rollbacks", rollbacks);
-    sink.counter("recovery.checkpoint_bytes", ckpt_bytes);
-    let out = finish_run(problem, sink, plain);
+    let guard = BatchGuard {
+        rollbacks: Some(recovery.max_rollbacks),
+        aborts,
+        verify: None,
+    };
+    let (out, t) = run_guarded(problem, guard, |sink, t| {
+        sink.counter("recovery.rollbacks", t.rollbacks);
+        sink.counter("recovery.checkpoint_bytes", t.ckpt_bytes);
+    })?;
     let stats = RecoveryStats {
-        batch_rollbacks: rollbacks,
-        checkpoint_bytes: ckpt_bytes,
+        batch_rollbacks: t.rollbacks,
+        checkpoint_bytes: t.ckpt_bytes,
         layout_before: (problem.layout.r, problem.layout.t),
         layout_after: (problem.layout.r, problem.layout.t),
         ..Default::default()
     };
     Ok((out, stats))
-}
-
-fn rank_rollback(
-    problem: &Arc<Problem>,
-    comm: &Communicator,
-    aborts: Option<BatchAborts>,
-    recovery: &RecoveryConfig,
-) -> Result<(RankShares, f64, u64, u64), VmpiError> {
-    let cfg = problem.config;
-    let l = &problem.layout;
-    let w = comm.rank();
-    let g = l.task_group_of(w);
-    let i = l.member_of(w);
-    let t = l.t;
-    let pack_comm = comm.split(g as u64, i);
-    let scatter_comm = ScatterComms::new(comm.split(i as u64, g), cfg.decomp);
-    let rec = Recorder::new(comm.trace_sink(), comm.clock(), w);
-    let sp = StagePlan::for_problem(problem, g);
-    let runner = sp.runner(&problem.v, &rec);
-    let mut shares = problem.initial_shares(w);
-    let mut arena = BufferArena::new();
-    let mut rollbacks = 0u64;
-    let mut ckpt_bytes = 0u64;
-
-    comm.barrier();
-    let t_start = comm.now();
-    for k in 0..cfg.iterations() {
-        // Checkpoint cut at the step boundary: snapshot the batch's input
-        // shares (everything a replay needs — the prep step re-zeroes the
-        // arena's work buffers on every attempt).
-        let checkpoint: Vec<Vec<Complex64>> =
-            (0..t).map(|j| shares[k * t + j].clone()).collect();
-        ckpt_bytes += checkpoint
-            .iter()
-            .map(|s| (s.len() * std::mem::size_of::<Complex64>()) as u64)
-            .sum::<u64>();
-        let mut attempt = 0u32;
-        loop {
-            let inject = aborts.is_some_and(|a| a.should_abort(k as u64, attempt));
-            match runner.band_batch(
-                k * t,
-                &pack_comm,
-                &scatter_comm,
-                &mut shares,
-                &mut arena,
-                inject,
-            ) {
-                Ok(()) => break,
-                Err(e) => {
-                    if attempt >= recovery.max_rollbacks {
-                        return Err(e);
-                    }
-                    // Roll back: restore the batch's input shares and
-                    // replay. The abort decision is a pure function of
-                    // (seed, batch, attempt), so every rank replays in
-                    // lockstep and the collective sequence counters stay
-                    // aligned.
-                    for (j, c) in checkpoint.iter().enumerate() {
-                        shares[k * t + j] = c.clone();
-                    }
-                    rollbacks += 1;
-                    attempt += 1;
-                }
-            }
-        }
-    }
-    comm.try_barrier()?;
-    let t_end = comm.now();
-    Ok((shares, t_end - t_start, rollbacks, ckpt_bytes))
 }
 
 // ---------------------------------------------------------------------
@@ -389,9 +313,8 @@ pub fn run_eviction(
     let new_l = TaskGroupLayout::new(l.grid, l.set.clone(), r2, t2);
     new_l.validate();
 
-    let sink = TraceSink::new();
-    let world = World::new(p).with_trace(sink.clone());
-    let results = world.run(|comm| rank_eviction(problem, comm, death, &new_l));
+    let (results, sink, _) =
+        in_world(problem, None, |comm| rank_eviction(problem, comm, death, &new_l));
 
     let mut outcomes: Vec<EvictionOutcome> = Vec::with_capacity(p - 1);
     let mut fft_phase_s = 0.0_f64;
@@ -464,7 +387,8 @@ fn rank_eviction(
     // shares to its ring successor, so each rank's processed state has an
     // off-rank copy that one failure cannot erase.
     for k in 0..death.batch {
-        runner.band_batch(k * t, &pack_comm, &scatter_comm, &mut shares, &mut arena, false)?;
+        let (pc, sc) = (&pack_comm, &scatter_comm);
+        runner.band_batch(k * t, pc, sc, &mut shares, &mut arena, false, &mut PlainLeg)?;
         let flat: Vec<Complex64> = (0..t)
             .flat_map(|j| shares[k * t + j].iter().copied())
             .collect();
@@ -555,7 +479,8 @@ fn rank_eviction(
     let rem_batches = (cfg.nbnd - done_bands) / t2;
     for kk in 0..rem_batches {
         let base = done_bands + kk * t2;
-        runner2.band_batch(base, &pack2, &scat2, &mut new_shares, &mut arena, false)?;
+        let (pc, sc) = (&pack2, &scat2);
+        runner2.band_batch(base, pc, sc, &mut new_shares, &mut arena, false, &mut PlainLeg)?;
         // Checkpointing continues on the survivor ring — a second eviction
         // is out of scope, but the steady-state traffic is part of the
         // overhead the experiment measures.
@@ -677,7 +602,7 @@ fn deposit_redistributed(
 mod tests {
     use super::*;
     use crate::config::FftxConfig;
-    use crate::stages::{run_policy, SchedulerPolicy};
+    use crate::stages::{rank_stage_spans, run_policy, SchedulerPolicy};
 
     fn eviction_config() -> FftxConfig {
         // 7 ranks as 7×1; after evicting one, 6 survivors re-plan to 3×2.
@@ -718,6 +643,15 @@ mod tests {
         let cfg = FftxConfig::small(2, 2, Mode::Original);
         let problem = Problem::new(cfg);
         let baseline = run_policy(&problem, SchedulerPolicy::Serial);
+        // A clean run checkpoints every batch but adds no stage.
+        let (clean, stats) =
+            run_rollback(&problem, None, &RecoveryConfig::default()).expect("clean");
+        assert_eq!(stats.batch_rollbacks, 0);
+        assert!(stats.checkpoint_bytes > 0);
+        assert_eq!(clean.bands, baseline.bands);
+        let spans = rank_stage_spans(&baseline.trace);
+        assert_eq!(spans.len(), cfg.vmpi_ranks());
+        assert_eq!(rank_stage_spans(&clean.trace), spans, "the guard changed the stages");
         // Every batch aborts 1-2 times; the rollback budget (4) covers it.
         let aborts = BatchAborts::new(5, 1.0, 2);
         let (out, stats) =

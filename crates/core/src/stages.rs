@@ -16,10 +16,13 @@
 //! * [`StageRunner`] — the one implementation of every stage's math and
 //!   data movement against [`ExecPlan`]/[`BufferArena`], recording the
 //!   per-stage trace spans ([`crate::recorder::Recorder::stage`]) once for
-//!   all policies. Recovery replays ([`StageRunner::band_batch`],
-//!   [`StageRunner::band_fused`]) and fault injection hook here too.
+//!   all policies. Recovery replays (`band_batch`,
+//!   [`StageRunner::band_fused`]) and fault injection hook here too, and
+//!   one `transform` with a hook around each FFT leg serves them all.
 //! * [`SchedulerPolicy`] — how the graph is scheduled:
-//!   [`SchedulerPolicy::Serial`] (the original static loop),
+//!   [`SchedulerPolicy::Serial`] (the original static loop — the one
+//!   serial batch loop, which checkpoint/rollback and ABFT-verified runs
+//!   share),
 //!   [`SchedulerPolicy::TaskPerStep`] (strategy 1: one task per stage,
 //!   flow dependencies), [`SchedulerPolicy::TaskPerFft`] (strategy 2: the
 //!   whole band is one task), [`SchedulerPolicy::TaskAsync`] (split-phase
@@ -46,6 +49,8 @@ use crate::config::{Decomposition, Mode};
 use crate::plan::{BufferArena, ExecPlan};
 use crate::problem::Problem;
 use crate::recorder::Recorder;
+use crate::verify::{Verifier, VerifyMode};
+use fftx_fault::{BatchAborts, CorruptionConfig};
 use fftx_fft::{cft_1z, cft_2xy_buf, opcount, Complex64, Direction};
 use fftx_pw::{apply_potential_slab, assemble_shares, ProcessGrid, TaskGroupLayout};
 use fftx_taskrt::{Dep, Handle, Runtime, Shared, SlotArena, TaskGraph};
@@ -529,6 +534,36 @@ pub struct StageRunner<'a> {
     pub rec: &'a Recorder,
 }
 
+/// What surrounds each FFT leg of [`StageRunner::transform`]: `fft` runs
+/// the leg's compute burst in place on `buf`. [`PlainLeg`] just runs it
+/// (a direct call once monomorphised); the ABFT hook of `crate::verify`
+/// checks, injects and recomputes around it.
+pub(crate) trait LegHook {
+    /// Runs the FFT leg `kind` of the batch starting at `band` on `buf`.
+    fn leg(
+        &mut self,
+        kind: StageKind,
+        band: usize,
+        buf: &mut [Complex64],
+        fft: impl FnMut(&mut [Complex64]),
+    );
+}
+
+/// The unguarded leg.
+pub(crate) struct PlainLeg;
+
+impl LegHook for PlainLeg {
+    fn leg(
+        &mut self,
+        _: StageKind,
+        _: usize,
+        buf: &mut [Complex64],
+        mut fft: impl FnMut(&mut [Complex64]),
+    ) {
+        fft(buf);
+    }
+}
+
 impl StageRunner<'_> {
     fn span<R>(&self, kind: StageKind, band: usize, f: impl FnOnce() -> R) -> R {
         self.rec.stage(kind.id(), band, f)
@@ -589,23 +624,9 @@ impl StageRunner<'_> {
         zbuf: &mut [Complex64],
         scratch: &mut Vec<Complex64>,
     ) {
-        let dir = match kind {
-            StageKind::FftZInv => Direction::Inverse,
-            StageKind::FftZFwd => Direction::Forward,
-            other => unreachable!("fft_z stage kind {other:?}"),
-        };
-        self.span(kind, band, || {
-            self.rec.compute(StateClass::FftZ, self.flops.fft_z, || {
-                cft_1z(
-                    &self.plan.z,
-                    zbuf,
-                    self.plan.nst,
-                    self.plan.grid.nr3,
-                    dir,
-                    scratch,
-                );
-            })
-        })
+        let ok = matches!(kind, StageKind::FftZInv | StageKind::FftZFwd);
+        assert!(ok, "fft_z stage kind {kind:?}");
+        self.span(kind, band, || self.fft_burst(kind, zbuf, scratch, &mut Vec::new()))
     }
 
     /// `FftXyInv`/`FftXyFwd`: the 2-D FFT batch over the owned planes.
@@ -617,25 +638,51 @@ impl StageRunner<'_> {
         scratch: &mut Vec<Complex64>,
         col: &mut Vec<Complex64>,
     ) {
+        let ok = matches!(kind, StageKind::FftXyInv | StageKind::FftXyFwd);
+        assert!(ok, "fft_xy stage kind {kind:?}");
+        self.span(kind, band, || self.fft_burst(kind, planes, scratch, col))
+    }
+
+    /// The compute burst of FFT stage `kind` on `buf`, outside any span.
+    fn fft_burst(
+        &self,
+        kind: StageKind,
+        buf: &mut [Complex64],
+        scratch: &mut Vec<Complex64>,
+        col: &mut Vec<Complex64>,
+    ) {
+        let p = self.plan;
         let dir = match kind {
-            StageKind::FftXyInv => Direction::Inverse,
-            StageKind::FftXyFwd => Direction::Forward,
-            other => unreachable!("fft_xy stage kind {other:?}"),
+            StageKind::FftZInv | StageKind::FftXyInv => Direction::Inverse,
+            _ => Direction::Forward,
         };
+        match kind {
+            StageKind::FftZInv | StageKind::FftZFwd => {
+                self.rec.compute(StateClass::FftZ, self.flops.fft_z, || {
+                    cft_1z(&p.z, buf, p.nst, p.grid.nr3, dir, scratch);
+                })
+            }
+            _ => self.rec.compute(StateClass::FftXy, self.flops.fft_xy, || {
+                cft_2xy_buf(&p.x, &p.y, buf, p.npp, p.grid.nr1, p.grid.nr2, dir, scratch, col);
+            }),
+        }
+    }
+
+    /// FFT stage `kind` of [`StageRunner::transform`] as its stage span,
+    /// with `hook` wrapped around the compute burst: whatever the hook adds
+    /// is charged to this stage and never becomes a stage of its own.
+    #[allow(clippy::too_many_arguments)]
+    fn fft_leg(
+        &self,
+        hook: &mut impl LegHook,
+        kind: StageKind,
+        band: usize,
+        buf: &mut [Complex64],
+        scratch: &mut Vec<Complex64>,
+        col: &mut Vec<Complex64>,
+    ) {
         self.span(kind, band, || {
-            self.rec.compute(StateClass::FftXy, self.flops.fft_xy, || {
-                cft_2xy_buf(
-                    &self.plan.x,
-                    &self.plan.y,
-                    planes,
-                    self.plan.npp,
-                    self.plan.grid.nr1,
-                    self.plan.grid.nr2,
-                    dir,
-                    scratch,
-                    col,
-                );
-            })
+            hook.leg(kind, band, buf, |b| self.fft_burst(kind, b, scratch, col))
         })
     }
 
@@ -878,14 +925,16 @@ impl StageRunner<'_> {
     }
 
     /// The pipeline middle (z-FFT → scatter → xy-FFTs/VOFR → scatter →
-    /// z-FFT) over the arena's buffers. `tag` keeps concurrent scatters of
-    /// different bands apart.
-    pub fn transform(
+    /// z-FFT) over the arena's buffers, with `hook` around each of the
+    /// four FFT legs. `tag` keeps concurrent scatters of different bands
+    /// apart.
+    pub(crate) fn transform(
         &self,
         band: usize,
         sc: &ScatterComms,
         tag: u32,
         a: &mut BufferArena,
+        hook: &mut impl LegHook,
     ) -> Result<(), VmpiError> {
         let BufferArena {
             zbuf,
@@ -897,26 +946,26 @@ impl StageRunner<'_> {
             pencil_mid,
             ..
         } = a;
-        self.fft_z(StageKind::FftZInv, band, zbuf, scratch);
+        self.fft_leg(hook, StageKind::FftZInv, band, zbuf, scratch, col);
         self.scatter_fwd(band, sc, tag, zbuf, planes, scatter_send, scatter_recv, pencil_mid)?;
-        self.fft_xy(StageKind::FftXyInv, band, planes, scratch, col);
+        self.fft_leg(hook, StageKind::FftXyInv, band, planes, scratch, col);
         self.vofr(band, planes);
-        self.fft_xy(StageKind::FftXyFwd, band, planes, scratch, col);
+        self.fft_leg(hook, StageKind::FftXyFwd, band, planes, scratch, col);
         self.scatter_bwd(band, sc, tag, planes, zbuf, scatter_send, scatter_recv, pencil_mid)?;
-        self.fft_z(StageKind::FftZFwd, band, zbuf, scratch);
+        self.fft_leg(hook, StageKind::FftZFwd, band, zbuf, scratch, col);
         Ok(())
     }
 
     /// One band batch of the serial policy (bands `base .. base + T`):
     /// prep, collective pack, transform, collective unpack — every
-    /// collective fallible. This is also recovery's replay unit: when
-    /// `inject_abort` is set the batch fails *mid-flight* with the same
-    /// typed error a real watchdog expiry produces (the pack collective has
-    /// completed — its sequence number is consumed symmetrically on every
-    /// rank — the scatter never runs), so the rollback path cannot tell it
-    /// from a real timeout.
+    /// collective fallible. This is the replay unit of the serial batch
+    /// loop: when `inject_abort` is set the batch fails *mid-flight* with
+    /// the same typed error a real watchdog expiry produces (the pack
+    /// collective has completed — its sequence number is consumed
+    /// symmetrically on every rank — the scatter never runs), so the
+    /// rollback path cannot tell it from a real timeout.
     #[allow(clippy::too_many_arguments)]
-    pub fn band_batch(
+    pub(crate) fn band_batch(
         &self,
         base: usize,
         pack_comm: &Communicator,
@@ -924,6 +973,7 @@ impl StageRunner<'_> {
         shares: &mut [Vec<Complex64>],
         a: &mut BufferArena,
         inject_abort: bool,
+        hook: &mut impl LegHook,
     ) -> Result<(), VmpiError> {
         self.prep(base, &mut a.zbuf, &mut a.planes);
         self.pack_exchange(base, shares, pack_comm, a)?;
@@ -935,7 +985,7 @@ impl StageRunner<'_> {
                 diagnostic: String::new(),
             });
         }
-        self.transform(base, scatter_comm, 0, a)?;
+        self.transform(base, scatter_comm, 0, a, hook)?;
         self.unpack_exchange(base, shares, pack_comm, a)?;
         Ok(())
     }
@@ -953,7 +1003,7 @@ impl StageRunner<'_> {
     ) -> Result<(), VmpiError> {
         self.prep(band, &mut a.zbuf, &mut a.planes);
         self.pack_local(band, &share.read(), &mut a.zbuf);
-        self.transform(band, sc, band as u32, a)?;
+        self.transform(band, sc, band as u32, a, &mut PlainLeg)?;
         self.unpack_local(band, &a.zbuf, &mut share.write());
         Ok(())
     }
@@ -1036,12 +1086,6 @@ impl SchedulerPolicy {
             _ => None,
         }
     }
-
-    /// The policy selected by the `FFTX_SCHEDULER` environment variable,
-    /// if set to a valid value.
-    pub fn from_env() -> Option<Self> {
-        std::env::var("FFTX_SCHEDULER").ok().and_then(|s| Self::parse(&s))
-    }
 }
 
 /// One empty arena per runtime worker; task bodies index with
@@ -1068,28 +1112,122 @@ pub fn run_policy_chaotic(
     policy: SchedulerPolicy,
     chaos: Option<ChaosConfig>,
 ) -> (RunOutput, Option<FaultReport>) {
-    let cfg = problem.config;
     assert_eq!(
-        cfg.mode,
+        problem.config.mode,
         policy.mode(),
         "run_policy: config mode must match the scheduler policy"
     );
-    let sink = TraceSink::new();
-    let mut world = World::new(cfg.vmpi_ranks()).with_trace(sink.clone());
-    if let Some(c) = chaos {
-        world = world.with_chaos(c);
-    }
-    let results = world.run(|comm| match policy {
-        SchedulerPolicy::Serial => rank_serial(problem, comm),
+    let (results, sink, report) = in_world(problem, chaos, |comm| match policy {
+        // The plain serial policy has no error channel: a failure panics
+        // inside the rank body, which aborts the world.
+        SchedulerPolicy::Serial => {
+            let (shares, span, _) = rank_batches(problem, comm, &BatchGuard::default())
+                .unwrap_or_else(|e| panic!("{e}"));
+            (shares, span)
+        }
         _ => rank_tasks(problem, comm, policy),
     });
-    let report = world.fault_report();
     (finish_run(problem, sink, results), report)
 }
 
-/// Per-rank body of the serial policy: plan once, then an allocation-free
-/// steady-state loop of band batches through the arena.
-fn rank_serial(problem: &Problem, comm: &Communicator) -> (Vec<Vec<Complex64>>, f64) {
+/// Spawns the world of one real run — `vmpi_ranks` rank threads tracing
+/// into one sink, chaos from `chaos` or else the `FFTX_CHAOS_*`
+/// environment — and runs `body` on every rank.
+pub(crate) fn in_world<R: Send>(
+    problem: &Problem,
+    chaos: Option<ChaosConfig>,
+    body: impl Fn(&Communicator) -> R + Send + Sync,
+) -> (Vec<R>, TraceSink, Option<FaultReport>) {
+    let sink = TraceSink::new();
+    let mut world = World::new(problem.config.vmpi_ranks()).with_trace(sink.clone());
+    if let Some(c) = chaos {
+        world = world.with_chaos(c);
+    }
+    let results = world.run(body);
+    let report = world.fault_report();
+    (results, sink, report)
+}
+
+// ---------------------------------------------------------------------
+// The serial batch loop
+// ---------------------------------------------------------------------
+
+/// One rank's band shares, in band order.
+pub(crate) type RankShares = Vec<Vec<Complex64>>;
+
+/// What guards a run of the serial batch loop. The default guards nothing:
+/// the plain serial policy, which takes no checkpoint, makes no injection
+/// call and runs no verdict allreduce.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct BatchGuard {
+    /// Rollback budget. When set, each batch's input shares are
+    /// checkpointed at the step boundary and a failed attempt is restored
+    /// and replayed up to this many times.
+    pub rollbacks: Option<u32>,
+    /// Injected collective timeouts, keyed by (batch, attempt).
+    pub aborts: Option<BatchAborts>,
+    /// ABFT verification of every FFT leg under a corruption model.
+    pub verify: Option<(VerifyMode, CorruptionConfig)>,
+}
+
+/// What the serial batch loop did on one rank or, merged, on the world:
+/// ABFT leg checks, full-mode recomputations and repairs, agreed corrupt
+/// batch attempts, rollbacks, and checkpoint bytes written.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct BatchTally {
+    pub checks: u64,
+    pub recomputes: u64,
+    pub repaired: u64,
+    pub detected: u64,
+    pub rollbacks: u64,
+    pub ckpt_bytes: u64,
+}
+
+impl BatchTally {
+    /// Folds one rank's tally into the world's: counts sum, while the
+    /// rank-symmetric detection and rollback decisions count once.
+    fn merge(&mut self, rank: &BatchTally) {
+        self.checks += rank.checks;
+        self.recomputes += rank.recomputes;
+        self.repaired += rank.repaired;
+        self.detected = self.detected.max(rank.detected);
+        self.rollbacks = self.rollbacks.max(rank.rollbacks);
+        self.ckpt_bytes += rank.ckpt_bytes;
+    }
+}
+
+/// Runs the serial batch loop under `guard` on a fresh world — the outer
+/// shell of the rollback and verified runs. The first rank error
+/// escalates; otherwise the rank tallies merge, `counters` emits the
+/// caller's trace counters, and the bands are reassembled.
+pub(crate) fn run_guarded(
+    problem: &Problem,
+    guard: BatchGuard,
+    counters: impl FnOnce(&TraceSink, &BatchTally),
+) -> Result<(RunOutput, BatchTally), VmpiError> {
+    let (results, sink, _) = in_world(problem, None, |comm| rank_batches(problem, comm, &guard));
+    let mut plain = Vec::with_capacity(results.len());
+    let mut tally = BatchTally::default();
+    for r in results {
+        let (shares, span, rank) = r?;
+        tally.merge(&rank);
+        plain.push((shares, span));
+    }
+    counters(&sink, &tally);
+    Ok((finish_run(problem, sink, plain), tally))
+}
+
+/// The one serial batch loop — the paper's static loop over band batches
+/// (Fig. 1) — for the serial policy, checkpoint/rollback and verified runs.
+/// An attempt fails on a [`VmpiError`] or a world-agreed ABFT verdict; it
+/// is restored from the batch checkpoint and replayed within the rollback
+/// budget, else its error escalates. Failures are pure in (seed, batch,
+/// attempt) or agreed, so all ranks replay in lockstep.
+fn rank_batches(
+    problem: &Problem,
+    comm: &Communicator,
+    guard: &BatchGuard,
+) -> Result<(RankShares, f64, BatchTally), VmpiError> {
     let cfg = problem.config;
     let l = &problem.layout;
     let w = comm.rank();
@@ -1103,17 +1241,55 @@ fn rank_serial(problem: &Problem, comm: &Communicator) -> (Vec<Vec<Complex64>>, 
     let runner = sp.runner(&problem.v, &rec);
     let mut shares = problem.initial_shares(w);
     let mut arena = BufferArena::new();
+    let verifier = guard.verify.map(|(mode, c)| Verifier::new(mode, c, comm, &l.grid));
+    let mut tally = BatchTally::default();
 
     comm.barrier();
     let t_start = comm.now();
     for k in 0..cfg.iterations() {
-        runner
-            .band_batch(k * l.t, &pack_comm, &scatter_comm, &mut shares, &mut arena, false)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let batch = k * l.t..(k + 1) * l.t;
+        // Checkpoint cut at the step boundary: the batch's input shares are
+        // everything a replay needs (prep re-zeroes the arena's work
+        // buffers on every attempt).
+        let checkpoint = guard
+            .rollbacks
+            .map(|budget| (budget, shares[batch.clone()].to_vec()));
+        if let Some((_, c)) = &checkpoint {
+            tally.ckpt_bytes += c
+                .iter()
+                .map(|s| std::mem::size_of_val(s.as_slice()) as u64)
+                .sum::<u64>();
+        }
+        let mut attempt = 0u32;
+        loop {
+            let inject = guard.aborts.is_some_and(|a| a.should_abort(k as u64, attempt));
+            let (pc, sc, base) = (&pack_comm, &scatter_comm, batch.start);
+            let failure = match &verifier {
+                None => runner
+                    .band_batch(base, pc, sc, &mut shares, &mut arena, inject, &mut PlainLeg)
+                    .err(),
+                Some(vx) => {
+                    let mut legs = vx.legs(attempt, &mut tally);
+                    runner
+                        .band_batch(base, pc, sc, &mut shares, &mut arena, inject, &mut legs)
+                        .err()
+                        .or_else(|| legs.settle(comm, k))
+                }
+            };
+            let Some(e) = failure else { break };
+            match &checkpoint {
+                Some((budget, c)) if attempt < *budget => {
+                    shares[batch.clone()].clone_from_slice(c);
+                    tally.rollbacks += 1;
+                    attempt += 1;
+                }
+                _ => return Err(e),
+            }
+        }
     }
-    comm.barrier();
+    comm.try_barrier()?;
     let t_end = comm.now();
-    (shares, t_end - t_start)
+    Ok((shares, t_end - t_start, tally))
 }
 
 /// Context cloned into every task of one rank.
@@ -1598,6 +1774,18 @@ fn push_band_hybrid(
             },
         );
     }
+}
+
+/// Each rank's stage spans in emission order, as `(stage id, band)` —
+/// which stages a run executed, without their timing.
+#[cfg(test)]
+pub(crate) fn rank_stage_spans(trace: &Trace) -> Vec<Vec<(u32, u32)>> {
+    let ranks = trace.stages.iter().map(|s| s.lane.rank + 1).max().unwrap_or(0);
+    let mut out = vec![Vec::new(); ranks];
+    for s in &trace.stages {
+        out[s.lane.rank].push((s.stage, s.band));
+    }
+    out
 }
 
 #[cfg(test)]

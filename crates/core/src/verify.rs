@@ -43,10 +43,12 @@
 //! collective sequence counters, so a rank never aborts a batch on its own
 //! verdict: local flags accumulate through the batch, a world-wide
 //! OR-allreduce agrees on the outcome, and then *every* rank rolls the
-//! batch back to its checkpoint in lockstep (the rollback path of
-//! `recovery`). Transient profiles bound their strikes per key, so the
-//! rollback budget provably clears them; budget exhaustion escalates a
-//! typed [`VmpiError::Integrity`].
+//! batch back to its checkpoint in lockstep. The checks run as the leg
+//! hook of the one `transform`, inside the serial batch loop that also
+//! runs the plain serial policy and `recovery`'s rollback. Transient
+//! profiles bound their strikes per key, so the rollback budget provably
+//! clears them; budget exhaustion escalates a typed
+//! [`VmpiError::Integrity`].
 //!
 //! **Persistent faults.** A stuck lane strikes on every replay — rollback
 //! cannot clear it. Instead, every rank's FFT unit is *probed* before the
@@ -58,15 +60,13 @@
 //! eviction per run: a second flaky rank escalates as a typed error.
 
 use crate::config::Mode;
-use crate::plan::BufferArena;
 use crate::problem::Problem;
-use crate::recorder::Recorder;
 use crate::recovery::run_eviction;
-use crate::stages::{finish_run, RunOutput, ScatterComms, StageKind, StagePlan, StageRunner};
+use crate::stages::{run_guarded, BatchGuard, BatchTally, LegHook, RunOutput, StageKind};
 use fftx_fault::{mix64, CorruptionConfig, RankDeath, RecoveryConfig, Strike, StuckLane};
 use fftx_fft::{c64, cached_plan, cft_1z, Complex64, Direction};
-use fftx_trace::TraceSink;
-use fftx_vmpi::{Communicator, VmpiError, World};
+use fftx_pw::FftGrid;
+use fftx_vmpi::{Communicator, VmpiError};
 use std::sync::Arc;
 
 /// Relative tolerance of the `cheap`-mode Parseval check. FFT rounding
@@ -82,8 +82,8 @@ const TARGET_SALT: u64 = 0x7C15_8A2D_93E4_F506;
 // Verify mode
 // ---------------------------------------------------------------------
 
-/// How much ABFT verification the pipeline runs per FFT leg — the axis the
-/// `FFTX_VERIFY` environment knob exposes.
+/// How much ABFT verification the pipeline runs per FFT leg — the mode
+/// argument of [`run_verified`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerifyMode {
     /// No compute verification (transport checksums still apply).
@@ -100,7 +100,7 @@ impl VerifyMode {
     /// Every mode, in escalation order.
     pub const ALL: [VerifyMode; 3] = [VerifyMode::Off, VerifyMode::Cheap, VerifyMode::Full];
 
-    /// The knob vocabulary name.
+    /// The mode's name (the `integrity` bench's `verify_mode` column).
     pub fn name(self) -> &'static str {
         match self {
             VerifyMode::Off => "off",
@@ -109,19 +109,9 @@ impl VerifyMode {
         }
     }
 
-    /// Parses a knob value (the inverse of [`VerifyMode::name`]).
+    /// Parses a mode name (the inverse of [`VerifyMode::name`]).
     pub fn parse(s: &str) -> Option<VerifyMode> {
         VerifyMode::ALL.iter().copied().find(|m| m.name() == s)
-    }
-
-    /// Reads `FFTX_VERIFY` leniently (unset or unparsable → `Off`) — the
-    /// library-level reader; binaries validate strictly via
-    /// [`crate::load_env`].
-    pub fn from_env() -> VerifyMode {
-        std::env::var("FFTX_VERIFY")
-            .ok()
-            .and_then(|v| VerifyMode::parse(&v))
-            .unwrap_or(VerifyMode::Off)
     }
 }
 
@@ -286,33 +276,140 @@ pub fn probe_fft_unit(corruption: &CorruptionConfig, rank: usize, n: usize) -> b
 // Verified leg execution
 // ---------------------------------------------------------------------
 
-/// The verification context one rank carries through a run.
-struct VerifyCtx {
+/// One rank's ABFT verifier: the mode, the fault model and the rank's
+/// identity in it, built once per rank by the serial batch loop.
+pub(crate) struct Verifier {
     mode: VerifyMode,
     corruption: CorruptionConfig,
     /// World rank (fault-model identity: strike targeting, stuck lanes).
     rank: usize,
     /// World size.
     ranks: usize,
-    tol: f64,
+    /// Energy factors of a z leg (`nr3`) and an xy leg (`nr1 * nr2`).
+    nz: f64,
+    nxy: f64,
 }
 
-/// Per-batch detection state, accumulated locally and agreed collectively.
-#[derive(Default)]
-struct VerifyFlags {
-    detected: bool,
+impl Verifier {
+    /// The verifier of `comm`'s rank on `grid`.
+    pub(crate) fn new(
+        mode: VerifyMode,
+        corruption: CorruptionConfig,
+        comm: &Communicator,
+        grid: &FftGrid,
+    ) -> Self {
+        Verifier {
+            mode,
+            corruption,
+            rank: comm.rank(),
+            ranks: comm.size(),
+            nz: grid.nr3 as f64,
+            nxy: (grid.nr1 * grid.nr2) as f64,
+        }
+    }
+
+    /// The leg hook of one batch attempt, counting into `tally`.
+    pub(crate) fn legs<'a>(&'a self, attempt: u32, tally: &'a mut BatchTally) -> VerifiedLegs<'a> {
+        VerifiedLegs {
+            vx: self,
+            attempt,
+            tally,
+            evidence: None,
+        }
+    }
+}
+
+/// The ABFT [`LegHook`] of one batch attempt: every FFT leg runs through
+/// the fault model and the selected invariant.
+pub(crate) struct VerifiedLegs<'a> {
+    vx: &'a Verifier,
+    attempt: u32,
+    tally: &'a mut BatchTally,
     /// `(expected, got)` energy bits of the first local detection — the
     /// evidence carried into the escalation error.
     evidence: Option<(u64, u64)>,
-    checks: u64,
-    recomputes: u64,
-    repaired: u64,
+}
+
+impl LegHook for VerifiedLegs<'_> {
+    /// The verified leg: compute, inject, then check (`cheap`:
+    /// `E_out ≈ factor·E_in`; `full`: bit-exact recompute from the
+    /// snapshot, repairing in place on mismatch).
+    fn leg(
+        &mut self,
+        kind: StageKind,
+        band: usize,
+        buf: &mut [Complex64],
+        mut fft: impl FnMut(&mut [Complex64]),
+    ) {
+        let vx = self.vx;
+        let (leg, factor) = match kind {
+            StageKind::FftZInv => (0, vx.nz),
+            StageKind::FftXyInv => (1, vx.nxy),
+            StageKind::FftXyFwd => (2, 1.0 / vx.nxy),
+            StageKind::FftZFwd => (3, 1.0 / vx.nz),
+            other => unreachable!("{other:?} is not an FFT leg"),
+        };
+        let (key, attempt) = (leg_key(band, leg), self.attempt);
+        match vx.mode {
+            VerifyMode::Off => {
+                fft(buf);
+                inject(vx, key, attempt, buf);
+            }
+            VerifyMode::Cheap => {
+                let e_in = energy(buf);
+                fft(buf);
+                inject(vx, key, attempt, buf);
+                self.tally.checks += 1;
+                let (want, got) = (factor * e_in, energy(buf));
+                if !energy_close(got, want, PARSEVAL_TOL) {
+                    self.evidence.get_or_insert((want.to_bits(), got.to_bits()));
+                }
+            }
+            VerifyMode::Full => {
+                let snapshot = buf.to_vec();
+                fft(buf);
+                inject(vx, key, attempt, buf);
+                self.tally.recomputes += 1;
+                // Recompute on the clean path (the check unit: in the KNL
+                // story, the scalar fallback kernel) and compare bit-exactly.
+                let mut clean = snapshot;
+                fft(&mut clean);
+                if !bits_equal(buf, &clean) {
+                    buf.copy_from_slice(&clean);
+                    self.tally.repaired += 1;
+                }
+            }
+        }
+    }
+}
+
+impl VerifiedLegs<'_> {
+    /// Closes the attempt on batch `batch` with a world-wide verdict — a
+    /// rank must never abort on its local detection alone, or the
+    /// collective sequence counters desynchronise. A corrupt verdict
+    /// counts a detection and comes back as the typed error the batch
+    /// escalates with once the rollback budget is spent. `Off` never
+    /// checks, so it never agrees.
+    pub(crate) fn settle(self, comm: &Communicator, batch: usize) -> Option<VmpiError> {
+        let local = u64::from(self.evidence.is_some());
+        if self.vx.mode == VerifyMode::Off || comm.allreduce(vec![local], |a, b| a | b)[0] == 0 {
+            return None;
+        }
+        self.tally.detected += 1;
+        let (expected, got) = self.evidence.unwrap_or((0, 0));
+        Some(VmpiError::Integrity {
+            peer: comm.rank(),
+            tag: batch as u32,
+            expected,
+            got,
+        })
+    }
 }
 
 /// Injects the modeled FFT-unit faults into a leg's output buffer:
 /// a bounded transient strike when this rank is the key's target, plus the
 /// rank's persistent stuck lane.
-fn inject(vx: &VerifyCtx, key: u64, attempt: u32, buf: &mut [Complex64]) {
+fn inject(vx: &Verifier, key: u64, attempt: u32, buf: &mut [Complex64]) {
     if let Some(bf) = vx.corruption.bitflip {
         if strike_target(key, vx.ranks) == vx.rank {
             if let Some(s) = bf.strike(key, attempt) {
@@ -325,131 +422,9 @@ fn inject(vx: &VerifyCtx, key: u64, attempt: u32, buf: &mut [Complex64]) {
     }
 }
 
-/// Runs one FFT leg through the fault model and the selected invariant:
-/// compute, inject, then check (`cheap`: `E_out ≈ factor·E_in`; `full`:
-/// bit-exact recompute from the snapshot, repairing in place on mismatch).
-fn verified_leg(
-    vx: &VerifyCtx,
-    flags: &mut VerifyFlags,
-    key: u64,
-    attempt: u32,
-    factor: f64,
-    buf: &mut [Complex64],
-    mut leg: impl FnMut(&mut [Complex64]),
-) {
-    match vx.mode {
-        VerifyMode::Off => {
-            leg(buf);
-            inject(vx, key, attempt, buf);
-        }
-        VerifyMode::Cheap => {
-            let e_in = energy(buf);
-            leg(buf);
-            inject(vx, key, attempt, buf);
-            flags.checks += 1;
-            let (want, got) = (factor * e_in, energy(buf));
-            if !energy_close(got, want, vx.tol) {
-                flags.detected = true;
-                flags.evidence.get_or_insert((want.to_bits(), got.to_bits()));
-            }
-        }
-        VerifyMode::Full => {
-            let snapshot = buf.to_vec();
-            leg(buf);
-            inject(vx, key, attempt, buf);
-            flags.recomputes += 1;
-            // Recompute on the clean path (the check unit: in the KNL
-            // story, the scalar fallback kernel) and compare bit-exactly.
-            let mut clean = snapshot;
-            leg(&mut clean);
-            if !bits_equal(buf, &clean) {
-                buf.copy_from_slice(&clean);
-                flags.repaired += 1;
-            }
-        }
-    }
-}
-
-/// The transform middle with every FFT leg verified. Scatters stay on the
-/// plain path: their integrity is the transport checksums' job.
-#[allow(clippy::too_many_arguments)]
-fn verified_transform(
-    r: &StageRunner<'_>,
-    base: usize,
-    sc: &ScatterComms,
-    tag: u32,
-    a: &mut BufferArena,
-    vx: &VerifyCtx,
-    attempt: u32,
-    flags: &mut VerifyFlags,
-) -> Result<(), VmpiError> {
-    let BufferArena {
-        zbuf,
-        planes,
-        scratch,
-        col,
-        scatter_send,
-        scatter_recv,
-        pencil_mid,
-        ..
-    } = a;
-    let nz = r.plan.grid.nr3 as f64;
-    let nxy = (r.plan.grid.nr1 * r.plan.grid.nr2) as f64;
-    verified_leg(vx, flags, leg_key(base, 0), attempt, nz, zbuf, |b| {
-        r.fft_z(StageKind::FftZInv, base, b, scratch)
-    });
-    r.scatter_fwd(base, sc, tag, zbuf, planes, scatter_send, scatter_recv, pencil_mid)?;
-    verified_leg(vx, flags, leg_key(base, 1), attempt, nxy, planes, |b| {
-        r.fft_xy(StageKind::FftXyInv, base, b, scratch, col)
-    });
-    r.vofr(base, planes);
-    verified_leg(vx, flags, leg_key(base, 2), attempt, 1.0 / nxy, planes, |b| {
-        r.fft_xy(StageKind::FftXyFwd, base, b, scratch, col)
-    });
-    r.scatter_bwd(base, sc, tag, planes, zbuf, scatter_send, scatter_recv, pencil_mid)?;
-    verified_leg(vx, flags, leg_key(base, 3), attempt, 1.0 / nz, zbuf, |b| {
-        r.fft_z(StageKind::FftZFwd, base, b, scratch)
-    });
-    Ok(())
-}
-
-/// One band batch with verified FFT legs — the replay unit of the
-/// verified run, shaped exactly like
-/// [`StageRunner::band_batch`](crate::stages::StageRunner::band_batch).
-#[allow(clippy::too_many_arguments)]
-fn verified_band_batch(
-    r: &StageRunner<'_>,
-    base: usize,
-    pack_comm: &Communicator,
-    sc: &ScatterComms,
-    shares: &mut [Vec<Complex64>],
-    a: &mut BufferArena,
-    vx: &VerifyCtx,
-    attempt: u32,
-    flags: &mut VerifyFlags,
-) -> Result<(), VmpiError> {
-    r.prep(base, &mut a.zbuf, &mut a.planes);
-    r.pack_exchange(base, shares, pack_comm, a)?;
-    verified_transform(r, base, sc, 0, a, vx, attempt, flags)?;
-    r.unpack_exchange(base, shares, pack_comm, a)?;
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 // The verified run
 // ---------------------------------------------------------------------
-
-type RankShares = Vec<Vec<Complex64>>;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct RankTotals {
-    checks: u64,
-    recomputes: u64,
-    repaired: u64,
-    detected: u64,
-    rollbacks: u64,
-    ckpt_bytes: u64,
-}
 
 /// Runs the original pipeline under the corruption model with ABFT
 /// verification: every rank's FFT unit is probed up front (a flaky rank is
@@ -504,134 +479,34 @@ pub fn run_verified(
         }
     }
 
-    let sink = TraceSink::new();
-    let world = World::new(p).with_trace(sink.clone());
-    let results = world.run(|comm| rank_verified(problem, comm, corruption, mode, recovery));
-    let mut plain = Vec::with_capacity(results.len());
-    let mut totals = RankTotals::default();
-    for r in results {
-        let (shares, span, t) = r?;
-        totals.checks += t.checks;
-        totals.recomputes += t.recomputes;
-        totals.repaired += t.repaired;
-        // Detection and rollback decisions are rank-symmetric; count once.
-        totals.detected = totals.detected.max(t.detected);
-        totals.rollbacks = totals.rollbacks.max(t.rollbacks);
-        totals.ckpt_bytes += t.ckpt_bytes;
-        plain.push((shares, span));
-    }
-    sink.counter("integrity.parseval_checks", totals.checks);
-    sink.counter("integrity.detected_batches", totals.detected);
-    sink.counter("integrity.recomputed_legs", totals.recomputes);
-    sink.counter("integrity.repaired_legs", totals.repaired);
-    sink.counter("recovery.rollbacks", totals.rollbacks);
-    let out = finish_run(problem, sink, plain);
-    stats.parseval_checks = totals.checks;
-    stats.recomputed_legs = totals.recomputes;
-    stats.repaired_legs = totals.repaired;
-    stats.detected_batches = totals.detected;
-    stats.batch_rollbacks = totals.rollbacks;
-    stats.checkpoint_bytes = totals.ckpt_bytes;
-    Ok((out, stats))
-}
-
-fn rank_verified(
-    problem: &Arc<Problem>,
-    comm: &Communicator,
-    corruption: CorruptionConfig,
-    mode: VerifyMode,
-    recovery: &RecoveryConfig,
-) -> Result<(RankShares, f64, RankTotals), VmpiError> {
-    let cfg = problem.config;
-    let l = &problem.layout;
-    let w = comm.rank();
-    let g = l.task_group_of(w);
-    let i = l.member_of(w);
-    let t = l.t;
-    let pack_comm = comm.split(g as u64, i);
-    let scatter_comm = ScatterComms::new(comm.split(i as u64, g), cfg.decomp);
-    let rec = Recorder::new(comm.trace_sink(), comm.clock(), w);
-    let sp = StagePlan::for_problem(problem, g);
-    let runner = sp.runner(&problem.v, &rec);
-    let mut shares = problem.initial_shares(w);
-    let mut arena = BufferArena::new();
-    let vx = VerifyCtx {
-        mode,
-        corruption,
-        rank: w,
-        ranks: comm.size(),
-        tol: PARSEVAL_TOL,
+    // Off runs the legs through the fault model unchecked: no checkpoint,
+    // no verdict, no rollback.
+    let guard = BatchGuard {
+        rollbacks: (mode != VerifyMode::Off).then_some(recovery.max_rollbacks),
+        verify: Some((mode, corruption)),
+        ..BatchGuard::default()
     };
-    let mut totals = RankTotals::default();
-
-    comm.barrier();
-    let t_start = comm.now();
-    for k in 0..cfg.iterations() {
-        // Checkpoint cut at the step boundary, exactly as in the rollback
-        // engine — skipped under `Off`, which must stay zero-overhead.
-        let checkpoint: Option<Vec<Vec<Complex64>>> = (mode != VerifyMode::Off)
-            .then(|| (0..t).map(|j| shares[k * t + j].clone()).collect());
-        if let Some(c) = &checkpoint {
-            totals.ckpt_bytes += c
-                .iter()
-                .map(|s| (s.len() * std::mem::size_of::<Complex64>()) as u64)
-                .sum::<u64>();
-        }
-        let mut attempt = 0u32;
-        loop {
-            let mut flags = VerifyFlags::default();
-            verified_band_batch(
-                &runner,
-                k * t,
-                &pack_comm,
-                &scatter_comm,
-                &mut shares,
-                &mut arena,
-                &vx,
-                attempt,
-                &mut flags,
-            )?;
-            totals.checks += flags.checks;
-            totals.recomputes += flags.recomputes;
-            totals.repaired += flags.repaired;
-            // Agree on the batch verdict world-wide before acting: a rank
-            // must never abort on its local flag alone, or the collective
-            // sequence counters desynchronise.
-            let corrupt = mode != VerifyMode::Off
-                && comm.allreduce(vec![u64::from(flags.detected)], |a, b| a | b)[0] != 0;
-            if !corrupt {
-                break;
-            }
-            totals.detected += 1;
-            if attempt >= recovery.max_rollbacks {
-                let (expected, got) = flags.evidence.unwrap_or((0, 0));
-                return Err(VmpiError::Integrity {
-                    peer: w,
-                    tag: k as u32,
-                    expected,
-                    got,
-                });
-            }
-            // Roll back rank-symmetrically: the verdict is collectively
-            // agreed and the injected strikes are pure in (seed, key,
-            // attempt), so every rank replays in lockstep.
-            for (j, c) in checkpoint.as_ref().expect("checkpoint exists when verifying").iter().enumerate() {
-                shares[k * t + j] = c.clone();
-            }
-            totals.rollbacks += 1;
-            attempt += 1;
-        }
-    }
-    comm.try_barrier()?;
-    let t_end = comm.now();
-    Ok((shares, t_end - t_start, totals))
+    let (out, t) = run_guarded(problem, guard, |sink, t| {
+        sink.counter("integrity.parseval_checks", t.checks);
+        sink.counter("integrity.detected_batches", t.detected);
+        sink.counter("integrity.recomputed_legs", t.recomputes);
+        sink.counter("integrity.repaired_legs", t.repaired);
+        sink.counter("recovery.rollbacks", t.rollbacks);
+    })?;
+    stats.parseval_checks = t.checks;
+    stats.recomputed_legs = t.recomputes;
+    stats.repaired_legs = t.repaired;
+    stats.detected_batches = t.detected;
+    stats.batch_rollbacks = t.rollbacks;
+    stats.checkpoint_bytes = t.ckpt_bytes;
+    Ok((out, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FftxConfig;
-    use crate::stages::{run_policy, SchedulerPolicy};
+    use crate::stages::{rank_stage_spans, run_policy, SchedulerPolicy};
     use fftx_fault::BitFlip;
 
     fn problem(r: usize, t: usize) -> Arc<Problem> {
@@ -704,6 +579,13 @@ mod tests {
                 run_verified(&problem, CorruptionConfig::off(), mode, &RecoveryConfig::default())
                     .expect("clean run");
             assert_eq!(out.bands, baseline.bands, "{} changed the answer", mode.name());
+            // The guard may add checkpoints and checks, but never stages.
+            assert_eq!(
+                rank_stage_spans(&out.trace),
+                rank_stage_spans(&baseline.trace),
+                "{} changed the per-rank stage sequence",
+                mode.name()
+            );
             assert_eq!(stats.detected_batches, 0);
             assert_eq!(stats.batch_rollbacks, 0);
             assert_eq!(stats.repaired_legs, 0);

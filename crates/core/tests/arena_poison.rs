@@ -11,10 +11,10 @@
 //! guarantees.
 
 use fftx_core::{
-    run_eviction, run_policy, run_policy_chaotic, run_rollback, FftxConfig, Mode, Problem,
-    SchedulerPolicy,
+    run_eviction, run_policy, run_policy_chaotic, run_rollback, run_verified, FftxConfig, Mode,
+    Problem, SchedulerPolicy, VerifyMode,
 };
-use fftx_fault::{BatchAborts, RankDeath, RecoveryConfig};
+use fftx_fault::{BatchAborts, CorruptionConfig, RankDeath, RecoveryConfig};
 use fftx_fft::Complex64;
 use fftx_vmpi::{ChaosConfig, StallConfig};
 use std::collections::HashMap;
@@ -115,6 +115,20 @@ fn poisoned_padding_never_reaches_the_bands() {
     )
     .expect("rollback budget absorbs the injected aborts");
     check("recovery/rollback/seed9", &run.bands);
+
+    // Verified rollback: a detected batch is restored from its checkpoint
+    // and replayed through the poisoned buffers, landing on the clean
+    // serial answer.
+    let (run, stats) = run_verified(
+        &problem,
+        CorruptionConfig::transient(9, 1.0),
+        VerifyMode::Cheap,
+        &RecoveryConfig::default(),
+    )
+    .expect("bounded transients clear within the rollback budget");
+    assert!(stats.detected_batches > 0, "rate 1.0 must strike and be seen");
+    assert!(stats.batch_rollbacks > 0);
+    check("clean/original/2x2", &run.bands);
 
     let mut cfg = FftxConfig::small(7, 1, Mode::Original);
     cfg.nbnd = 6;
