@@ -1,12 +1,18 @@
 //! Real-engine FFT benchmark: throughput and correctness of the native
 //! kernels that every modeled run ultimately prices. Emits
 //! `BENCH_fft.json` — the throughput numbers are wall-clock (volatile, the
-//! artifact is structure-checked); the gates sit only on accuracy, which
-//! is deterministic.
+//! artifact is structure-checked). The gates sit on accuracy, on bitwise
+//! identity of the lane-batched `cft_2xy_buf` with an in-run scalar
+//! reference (each row, then each gathered column, through the public
+//! one-sequence `Fft::process_with`), and on the lane kernel's speedup
+//! over that reference measured in the same run, a ratio that holds on
+//! any host.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
 use fftx_fft::opcount::{fft_3d_flops, fft_flops};
-use fftx_fft::{c64, max_dist, naive_dft, scale_in_place, Complex64, Direction, Fft, Fft3};
+use fftx_fft::{
+    c64, cft_1z, cft_2xy_buf, max_dist, naive_dft, scale_in_place, Complex64, Direction, Fft, Fft3,
+};
 use std::time::Instant;
 
 fn signal(n: usize) -> Vec<Complex64> {
@@ -26,6 +32,69 @@ fn time3<F: FnMut()>(iters: usize, mut f: F) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
     }
     best
+}
+
+/// The scalar `cft_2xy` reference: every row, then every column gathered
+/// into `col`, one sequence at a time, then the forward `1/(nx*ny)` scale.
+#[allow(clippy::too_many_arguments)] // mirrors cft_2xy_buf
+fn cft_2xy_scalar(
+    px: &Fft,
+    py: &Fft,
+    data: &mut [Complex64],
+    nzl: usize,
+    ldx: usize,
+    ldy: usize,
+    dir: Direction,
+    scratch: &mut Vec<Complex64>,
+    col: &mut Vec<Complex64>,
+) {
+    let (nx, ny) = (px.len(), py.len());
+    let scale = 1.0 / (nx * ny) as f64;
+    col.resize(ny, Complex64::ZERO);
+    for plane in data.chunks_exact_mut(ldx * ldy).take(nzl) {
+        for row in plane.chunks_exact_mut(ldx).take(ny) {
+            px.process_with(&mut row[..nx], scratch, dir);
+        }
+        for x in 0..nx {
+            for (y, slot) in col.iter_mut().enumerate() {
+                *slot = plane[x + y * ldx];
+            }
+            py.process_with(col, scratch, dir);
+            for (y, &v) in col.iter().enumerate() {
+                plane[x + y * ldx] = v;
+            }
+        }
+        if dir == Direction::Forward {
+            for row in plane.chunks_exact_mut(ldx).take(ny) {
+                scale_in_place(&mut row[..nx], scale);
+            }
+        }
+    }
+}
+
+/// The scalar `cft_1z` reference: one stick at a time, forward-scaled.
+fn cft_1z_scalar(
+    plan: &Fft,
+    data: &mut [Complex64],
+    ldz: usize,
+    dir: Direction,
+    scratch: &mut Vec<Complex64>,
+) {
+    let nz = plan.len();
+    for stick in data.chunks_exact_mut(ldz) {
+        plan.process_with(&mut stick[..nz], scratch, dir);
+        if dir == Direction::Forward {
+            scale_in_place(&mut stick[..nz], 1.0 / nz as f64);
+        }
+    }
+}
+
+/// True when the two buffers agree bit for bit.
+fn bitwise_eq(a: &[Complex64], b: &[Complex64]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
 }
 
 fn main() {
@@ -90,13 +159,64 @@ fn main() {
     println!("3-D {nx}x{ny}x{nz}  {s3:.3e}s/transform  {mflops3:8.1} MFLOP/s");
     rows.push_str(&format!("fft3d,{vol},{s3:.6e},{mflops3:.1}\n"));
 
+    // --- Lane kernel vs the in-run scalar reference, on the paper's
+    // 120x120 planes (8 per rank) and 120-long sticks: bitwise identity in
+    // both directions, then best-of-3 wall time of each.
+    let (n, nzl, nsl) = (120usize, 8usize, 64usize);
+    let (px, py) = (Fft::new(n), Fft::new(n));
+    let planes = signal(n * n * nzl);
+    let sticks = signal(n * nsl);
+    let (mut scratch, mut col) = (Vec::new(), Vec::new());
+    let mut lanes_bitwise = true;
+    for dir in [Direction::Inverse, Direction::Forward] {
+        let mut want = planes.clone();
+        cft_2xy_scalar(&px, &py, &mut want, nzl, n, n, dir, &mut scratch, &mut col);
+        let mut got = planes.clone();
+        cft_2xy_buf(&px, &py, &mut got, nzl, n, n, dir, &mut scratch, &mut col);
+        lanes_bitwise &= bitwise_eq(&got, &want);
+        let mut want = sticks.clone();
+        cft_1z_scalar(&px, &mut want, n, dir, &mut scratch);
+        let mut got = sticks.clone();
+        cft_1z(&px, &mut got, nsl, n, dir, &mut scratch);
+        lanes_bitwise &= bitwise_eq(&got, &want);
+    }
+    let mut buf = planes.clone();
+    let inv = Direction::Inverse;
+    let xy_ref = time3(8, || {
+        cft_2xy_scalar(&px, &py, &mut buf, nzl, n, n, inv, &mut scratch, &mut col)
+    });
+    let xy_lanes = time3(8, || {
+        cft_2xy_buf(&px, &py, &mut buf, nzl, n, n, inv, &mut scratch, &mut col)
+    });
+    let mut buf = sticks.clone();
+    let z_ref = time3(64, || cft_1z_scalar(&px, &mut buf, n, inv, &mut scratch));
+    let z_lanes = time3(64, || cft_1z(&px, &mut buf, nsl, n, inv, &mut scratch));
+    let (xy_speedup, z_speedup) = (xy_ref / xy_lanes, z_ref / z_lanes);
+    let xy_flops = nzl as f64 * 2.0 * n as f64 * fft_flops(n);
+    let z_flops = nsl as f64 * fft_flops(n);
+    println!("\nLane kernel vs scalar reference (bitwise identical: {lanes_bitwise}):");
+    for (name, flops, s_ref, s_lanes, speedup) in [
+        ("cft_2xy", xy_flops, xy_ref, xy_lanes, xy_speedup),
+        ("cft_1z", z_flops, z_ref, z_lanes, z_speedup),
+    ] {
+        let (m_ref, m_lanes) = (flops / s_ref / 1e6, flops / s_lanes / 1e6);
+        println!(
+            "{name:<8} n={n}  scalar {m_ref:8.1} MFLOP/s  lanes {m_lanes:8.1} MFLOP/s  {speedup:.2}x"
+        );
+        rows.push_str(&format!("{name}_scalar,{n},{s_ref:.6e},{m_ref:.1}\n"));
+        rows.push_str(&format!("{name},{n},{s_lanes:.6e},{m_lanes:.1}\n"));
+    }
+
     h.artifact("fft.csv", &rows, CheckKind::Structure);
     h.metric_f64("max_norm_err_vs_naive", max_err, 18)
         .metric_f64("roundtrip_err_1d", rt_err, 18)
         .metric_f64("roundtrip_err_3d", rt3_err, 18)
         .metric_f64("peak_1d_mflops", peak_1d, 1)
         .metric_f64("fft3d_mflops", mflops3, 1)
-        .metric_bool("throughput_positive", peak_1d > 0.0 && mflops3 > 0.0);
+        .metric_bool("throughput_positive", peak_1d > 0.0 && mflops3 > 0.0)
+        .metric_bool("lanes_bitwise_eq_scalar", lanes_bitwise)
+        .metric_f64("xy_lane_speedup", xy_speedup, 2)
+        .metric_f64("z_lane_speedup", z_speedup, 2);
     h.gate(
         "fast 1-D transforms match the naive DFT oracle",
         "max_norm_err_vs_naive",
@@ -120,6 +240,18 @@ fn main() {
         "throughput_positive",
         GateOp::Eq,
         1.0,
+    )
+    .gate(
+        "lane-batched cft_2xy_buf and cft_1z equal the scalar reference bit for bit",
+        "lanes_bitwise_eq_scalar",
+        GateOp::Eq,
+        1.0,
+    )
+    .gate(
+        "lane-batched cft_2xy_buf runs >= 1.3x the in-run scalar reference",
+        "xy_lane_speedup",
+        GateOp::Ge,
+        1.3,
     );
     std::process::exit(h.finish());
 }

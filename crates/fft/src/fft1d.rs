@@ -62,6 +62,38 @@ impl Fft {
         }
     }
 
+    /// Unnormalised in-place transform of `W` independent sequences at
+    /// once: element `j` of lane `l` is `data[j * es + l * ls]`. Each lane
+    /// is bitwise equal to [`Fft::process_with`] on that sequence. Direct
+    /// plans run the lane kernel; Bluestein plans run one scalar transform
+    /// per lane and need contiguous lanes (`es == 1`, see
+    /// [`Fft::has_strided_lanes`]).
+    pub(crate) fn process_lanes<const W: usize>(
+        &self,
+        data: &mut [Complex64],
+        es: usize,
+        ls: usize,
+        scratch: &mut Vec<Complex64>,
+        dir: Direction,
+    ) {
+        match &self.kind {
+            Kind::Identity => {}
+            Kind::Direct(p) => p.process_lanes::<W>(data, es, ls, scratch, dir),
+            Kind::Bluestein(p) => {
+                assert_eq!(es, 1, "Fft: Bluestein lanes must be contiguous");
+                for l in 0..W {
+                    p.process(&mut data[l * ls..l * ls + self.n], scratch, dir);
+                }
+            }
+        }
+    }
+
+    /// True when [`Fft::process_lanes`] accepts strided elements (`es > 1`):
+    /// every plan but Bluestein.
+    pub(crate) fn has_strided_lanes(&self) -> bool {
+        !matches!(self.kind, Kind::Bluestein(_))
+    }
+
     /// Unnormalised in-place transform with internal scratch allocation.
     pub fn process(&self, data: &mut [Complex64], dir: Direction) {
         let mut scratch = Vec::new();
@@ -91,7 +123,16 @@ pub fn scale_in_place(data: &mut [Complex64], s: f64) {
 mod tests {
     use super::*;
     use crate::complex::{c64, max_dist};
-    use crate::dft::naive_dft;
+    use crate::dft::{compensated_dft, naive_dft};
+
+    /// Accuracy-contract constant `C`: every transform's max error against
+    /// [`compensated_dft`] is at most `C * eps * ceil(log2 n) * |x|_2`.
+    /// Measured error over that unit, both directions, on the signal of
+    /// `accuracy_contract_holds_for_every_size_class`: at most 0.95 for the
+    /// direct sizes, 1.53 overall (Bluestein n = 41); over 40 seeds of the
+    /// same signal the worst was 1.83 (Bluestein n = 127). `C = 8` keeps
+    /// more than 4x headroom over both.
+    const ACCURACY_C: f64 = 8.0;
 
     fn ramp(n: usize) -> Vec<Complex64> {
         (0..n)
@@ -113,6 +154,81 @@ mod tests {
                 assert!(
                     max_dist(&data, &expect) < 1e-8 * (n.max(1) as f64),
                     "n={n} dir={dir:?}"
+                );
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random signal with components in [-1, 1).
+    fn noise(n: usize, seed: u64) -> Vec<Complex64> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        (0..n).map(|_| c64(next(), next())).collect()
+    }
+
+    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    #[test]
+    fn lanes_are_bitwise_equal_to_scalar_transforms() {
+        const W: usize = 4;
+        let mut scratch = Vec::new();
+        for n in [2, 4, 8, 11, 13, 14, 18, 21, 37, 41, 60, 90, 120, 125, 128] {
+            let plan = Fft::new(n);
+            // (element stride, lane stride): padded contiguous lanes (rows,
+            // sticks); for direct plans also interleaved lanes with padding
+            // (columns) and the exact lane-interleaved layout.
+            let mut layouts = vec![(1, n + 3)];
+            if plan.has_strided_lanes() {
+                layouts.extend([(W + 2, 1), (W, 1)]);
+            }
+            for (es, ls) in layouts {
+                let x = noise((n - 1) * es + (W - 1) * ls + 1, n as u64);
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let mut got = x.clone();
+                    plan.process_lanes::<W>(&mut got, es, ls, &mut scratch, dir);
+                    let mut want = x.clone();
+                    for l in 0..W {
+                        let mut seq: Vec<_> = (0..n).map(|j| x[j * es + l * ls]).collect();
+                        plan.process_with(&mut seq, &mut scratch, dir);
+                        for (j, v) in seq.into_iter().enumerate() {
+                            want[j * es + l * ls] = v;
+                        }
+                    }
+                    assert_eq!(bits(&got), bits(&want), "n={n} es={es} ls={ls} {dir:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accuracy_contract_holds_for_every_size_class() {
+        // Powers of two, 2·3·5·7 mixes, direct primes, Bluestein sizes.
+        let classes: [&[usize]; 4] = [
+            &[2, 4, 8, 16, 32, 64, 128, 256, 512],
+            &[6, 10, 14, 15, 18, 21, 30, 35, 42, 60, 90, 105, 120, 210],
+            &[11, 13, 17, 19, 23, 29, 31, 37],
+            &[41, 127],
+        ];
+        for n in classes.concat() {
+            let x = noise(n, 7 + n as u64);
+            let norm = x.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
+            let unit = f64::EPSILON * (n as f64).log2().ceil() * norm;
+            let plan = Fft::new(n);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut got = x.clone();
+                plan.process(&mut got, dir);
+                let err = max_dist(&got, &compensated_dft(&x, dir));
+                assert!(
+                    err <= ACCURACY_C * unit,
+                    "n={n} {dir:?}: error {err:.3e} > {ACCURACY_C} eps log2(n) |x| = {:.3e}",
+                    ACCURACY_C * unit
                 );
             }
         }

@@ -6,6 +6,15 @@
 //! factors are precomputed per recursion level for both directions, so one
 //! plan serves forward and inverse transforms — exactly how the FFTXlib
 //! reuses one `fft_scalar` plan for `fwfft`/`invfft`.
+//!
+//! There is one recursion, generic over a lane count `W`: every element is
+//! a `[Complex64; W]` holding the same index of `W` independent sequences,
+//! and every lane runs the scalar operations in the scalar order, so the
+//! compiler can vectorize across lanes without changing a bit of any
+//! result. [`MixedRadixPlan::process`] is the `W = 1` instance; the batched
+//! entry points in [`crate::batch`] run rows, columns and sticks several
+//! at a time (the blocking recipe of EFFT: adjacent sequences share one
+//! pass with unit-stride butterflies across the block).
 
 use crate::complex::Complex64;
 use crate::dft::Direction;
@@ -108,34 +117,78 @@ impl MixedRadixPlan {
         self.n == 0
     }
 
-    /// Executes the transform in place. `scratch` is resized to
-    /// `n + max_radix` as needed (input copy plus the butterfly gather
-    /// buffer); passing the same buffer across calls keeps the hot path
-    /// free of heap allocation.
+    /// Executes the transform in place: the one-lane instance of
+    /// [`MixedRadixPlan::process_lanes`] over contiguous data. `scratch` is
+    /// resized to `n + max_radix` as needed (input copy plus the butterfly
+    /// gather buffer; the spectrum is written straight into `data`);
+    /// passing the same buffer across calls keeps the hot path free of heap
+    /// allocation.
     pub fn process(&self, data: &mut [Complex64], scratch: &mut Vec<Complex64>, dir: Direction) {
         assert_eq!(data.len(), self.n, "MixedRadixPlan: buffer length mismatch");
-        if self.n <= 1 {
+        self.process_lanes::<1>(data, 1, 1, scratch, dir);
+    }
+
+    /// Transforms `W` independent sequences in one pass: element `j` of
+    /// lane `l` is `data[j * es + l * ls]`.
+    ///
+    /// Every lane runs exactly the scalar kernel's operations in its order
+    /// (same twiddle index, same butterfly expressions, no fused or
+    /// reassociated arithmetic), so each lane is bitwise equal to a `W = 1`
+    /// transform of the same sequence; the compiler vectorizes across the
+    /// lanes. The input is copied lane-interleaved into `scratch`, which
+    /// grows to `W * (2n + max_radix)` (or `W * (n + max_radix)` when
+    /// `data` already has that layout, `es == W` and `ls == 1`, and the
+    /// spectrum is written into it directly).
+    pub(crate) fn process_lanes<const W: usize>(
+        &self,
+        data: &mut [Complex64],
+        es: usize,
+        ls: usize,
+        scratch: &mut Vec<Complex64>,
+        dir: Direction,
+    ) {
+        let n = self.n;
+        if n <= 1 {
             return;
         }
-        let want = self.n + self.max_radix;
+        let in_place = es == W && (ls == 1 || W == 1);
+        let want = W * (n * if in_place { 1 } else { 2 } + self.max_radix);
         if scratch.len() < want {
             scratch.resize(want, Complex64::ZERO);
         }
-        let (src, gather) = scratch.split_at_mut(self.n);
-        src.copy_from_slice(data);
-        self.recurse(0, src, 1, data, dir, &mut gather[..self.max_radix]);
+        let (lanes, _) = scratch[..want].as_chunks_mut::<W>();
+        let (src, rest) = lanes.split_at_mut(n);
+        if in_place {
+            src.as_flattened_mut().copy_from_slice(&data[..n * W]);
+            let (dst, _) = data[..n * W].as_chunks_mut::<W>();
+            self.recurse(0, src, 1, dst, dir, rest);
+        } else {
+            for (j, s) in src.iter_mut().enumerate() {
+                for (l, v) in s.iter_mut().enumerate() {
+                    *v = data[j * es + l * ls];
+                }
+            }
+            let (dst, gather) = rest.split_at_mut(n);
+            self.recurse(0, src, 1, dst, dir, gather);
+            for (j, d) in dst.iter().enumerate() {
+                for (l, &v) in d.iter().enumerate() {
+                    data[j * es + l * ls] = v;
+                }
+            }
+        }
     }
 
-    /// Recursive DIT step: reads `sub`-strided input from `src`, writes the
-    /// length-`stages[idx].len` spectrum contiguously into `dst`.
-    fn recurse(
+    /// Recursive DIT step over `W` lanes: reads `sub`-strided input from
+    /// `src`, writes the length-`stages[idx].len` spectrum contiguously
+    /// into `dst`.
+    fn recurse<const W: usize>(
         &self,
         idx: usize,
-        src: &[Complex64],
+        src: &[[Complex64; W]],
         stride: usize,
-        dst: &mut [Complex64],
+        dst: &mut [[Complex64; W]],
         dir: Direction,
-        gather: &mut [Complex64],
+        gather: &mut [[Complex64; W]],
     ) {
         if idx == self.stages.len() {
             dst[0] = src[0];
@@ -145,7 +198,8 @@ impl MixedRadixPlan {
         let r = stage.radix;
         let m = stage.sub;
         debug_assert_eq!(dst.len(), stage.len);
-        if m == 1 && idx + 1 == self.stages.len() {
+        let leaf = m == 1 && idx + 1 == self.stages.len();
+        if leaf {
             // Leaf: a bare radix-r DFT of r strided points.
             for (j, g) in gather[..r].iter_mut().enumerate() {
                 *g = src[j * stride];
@@ -162,40 +216,57 @@ impl MixedRadixPlan {
                 );
             }
         }
-        let tw = match dir {
-            Direction::Forward => &stage.tw_fwd,
-            Direction::Inverse => &stage.tw_inv,
+        let (tw, roots) = match dir {
+            Direction::Forward => (&stage.tw_fwd, &stage.roots_fwd),
+            Direction::Inverse => (&stage.tw_inv, &stage.roots_inv),
         };
-        let roots = match dir {
-            Direction::Forward => &stage.roots_fwd,
-            Direction::Inverse => &stage.roots_inv,
-        };
+        let sign = dir.sign();
         for k in 0..m {
-            if !(m == 1 && idx + 1 == self.stages.len()) {
+            if !leaf {
                 gather[0] = dst[k];
                 for j in 1..r {
-                    gather[j] = dst[j * m + k] * tw[(j - 1) * m + k];
+                    let w = tw[(j - 1) * m + k];
+                    let x = dst[j * m + k];
+                    gather[j] = std::array::from_fn(|l| x[l] * w);
                 }
             }
             // `gather[..r]` now holds the r inputs of the radix-r butterfly.
             match r {
                 2 => {
-                    let (a, b) = (gather[0], gather[1]);
-                    dst[k] = a + b;
-                    dst[m + k] = a - b;
+                    for l in 0..W {
+                        let (a, b) = (gather[0][l], gather[1][l]);
+                        dst[k][l] = a + b;
+                        dst[m + k][l] = a - b;
+                    }
                 }
                 3 => {
-                    butterfly3(gather, dir.sign(), &mut dst[k..], m);
+                    for l in 0..W {
+                        let v = [gather[0][l], gather[1][l], gather[2][l]];
+                        let [o0, o1, o2] = butterfly3(v, sign);
+                        dst[k][l] = o0;
+                        dst[m + k][l] = o1;
+                        dst[2 * m + k][l] = o2;
+                    }
                 }
                 4 => {
-                    butterfly4(gather, dir.sign(), &mut dst[k..], m);
+                    for l in 0..W {
+                        let v = [gather[0][l], gather[1][l], gather[2][l], gather[3][l]];
+                        let [o0, o1, o2, o3] = butterfly4(v, sign);
+                        dst[k][l] = o0;
+                        dst[m + k][l] = o1;
+                        dst[2 * m + k][l] = o2;
+                        dst[3 * m + k][l] = o3;
+                    }
                 }
                 _ => {
                     // Generic O(r^2) DFT across the gathered points.
                     for q in 0..r {
-                        let mut acc = Complex64::ZERO;
-                        for (j, &g) in gather[..r].iter().enumerate() {
-                            acc += g * roots[(j * q) % r];
+                        let mut acc = [Complex64::ZERO; W];
+                        for (j, g) in gather[..r].iter().enumerate() {
+                            let w = roots[(j * q) % r];
+                            for l in 0..W {
+                                acc[l] += g[l] * w;
+                            }
                         }
                         dst[q * m + k] = acc;
                     }
@@ -205,32 +276,27 @@ impl MixedRadixPlan {
     }
 }
 
-/// Radix-3 butterfly writing outputs at `out[0]`, `out[m]`, `out[2m]`.
+/// Radix-3 butterfly.
 #[inline]
-fn butterfly3(v: &[Complex64], sign: f64, out: &mut [Complex64], m: usize) {
+fn butterfly3(v: [Complex64; 3], sign: f64) -> [Complex64; 3] {
     const SQRT3_2: f64 = 0.866_025_403_784_438_6;
     let s = v[1] + v[2];
     let d = v[1] - v[2];
     let t = v[0] - s.scale(0.5);
     // i * sign * (sqrt(3)/2) * d
     let rot = d.mul_i().scale(sign * SQRT3_2);
-    out[0] = v[0] + s;
-    out[m] = t + rot;
-    out[2 * m] = t - rot;
+    [v[0] + s, t + rot, t - rot]
 }
 
-/// Radix-4 butterfly writing outputs at `out[0]`, `out[m]`, `out[2m]`, `out[3m]`.
+/// Radix-4 butterfly.
 #[inline]
-fn butterfly4(v: &[Complex64], sign: f64, out: &mut [Complex64], m: usize) {
+fn butterfly4(v: [Complex64; 4], sign: f64) -> [Complex64; 4] {
     let t0 = v[0] + v[2];
     let t1 = v[0] - v[2];
     let t2 = v[1] + v[3];
     // w(4,1) = e^{sign*i*pi/2} = sign * i
     let t3 = (v[1] - v[3]).mul_i().scale(sign);
-    out[0] = t0 + t2;
-    out[m] = t1 + t3;
-    out[2 * m] = t0 - t2;
-    out[3 * m] = t1 - t3;
+    [t0 + t2, t1 + t3, t0 - t2, t1 - t3]
 }
 
 #[cfg(test)]

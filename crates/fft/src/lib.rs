@@ -2,7 +2,8 @@
 //!
 //! From-scratch FFT engine for the FFTXlib-on-KNL reproduction: complex
 //! arithmetic, a mixed-radix Cooley–Tukey kernel with specialised 2/3/4
-//! butterflies, Bluestein for arbitrary lengths, the batched strided entry
+//! butterflies that transforms several sequences per pass bit-identically
+//! to one, Bluestein for arbitrary lengths, the batched strided entry
 //! points FFTXlib's `fft_scalar` module exposes (`cft_1z`, `cft_2xy`), a
 //! dense 3-D reference transform, and an operation-count model feeding the
 //! KNL simulator.
@@ -29,7 +30,7 @@ pub mod planner;
 pub use batch::{cft_1z, cft_2xy, cft_2xy_buf};
 pub use cache::cached_plan;
 pub use complex::{c64, max_dist, Complex64};
-pub use dft::{naive_dft, naive_dft_3d, Direction};
+pub use dft::{compensated_dft, naive_dft, naive_dft_3d, Direction};
 pub use fft1d::{scale_in_place, Fft};
 pub use fft3d::Fft3;
 pub use planner::{good_fft_order, is_good_size};

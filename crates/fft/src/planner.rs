@@ -37,9 +37,11 @@ pub fn factorize(n: usize) -> Vec<usize> {
     out
 }
 
-/// The radix schedule used by the mixed-radix engine: factors of `n` ordered
-/// so specialised butterflies (4, then 2/3/5/7) run on the largest strides.
-/// Pairs of 2s are fused into radix-4 stages.
+/// The radix schedule used by the mixed-radix engine: radix-4 stages (fused
+/// pairs of 2s) first, then a leftover 2, then the odd primes ascending, so
+/// the outer recursion levels (largest strides) run the radix-4 butterfly.
+/// Radices 2, 3 and 4 have specialised butterflies; 5, 7 and every larger
+/// direct prime run the generic O(r^2) butterfly.
 pub fn radix_schedule(n: usize) -> Vec<usize> {
     let primes = factorize(n);
     let twos = primes.iter().filter(|&&p| p == 2).count();
