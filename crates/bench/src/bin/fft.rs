@@ -6,13 +6,17 @@
 //! reference (each row, then each gathered column, through the public
 //! one-sequence `Fft::process_with`), and on the lane kernel's speedup
 //! over that reference measured in the same run, a ratio that holds on
-//! any host.
+//! any host. The same holds for line skipping: `cft_2xy_masked` over the
+//! paper's stick occupancy is gated on bitwise equality with the dense
+//! transform on every live line and on its in-run speedup over it.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
 use fftx_fft::opcount::{fft_3d_flops, fft_flops};
 use fftx_fft::{
-    c64, cft_1z, cft_2xy_buf, max_dist, naive_dft, scale_in_place, Complex64, Direction, Fft, Fft3,
+    c64, cft_1z, cft_2xy_buf, cft_2xy_masked, max_dist, naive_dft, scale_in_place, Complex64,
+    Direction, Fft, Fft3, XyLines,
 };
+use fftx_pw::{Cell, FftGrid, GSphere, StickSet, DUAL};
 use std::time::Instant;
 
 fn signal(n: usize) -> Vec<Complex64> {
@@ -192,6 +196,46 @@ fn main() {
     let z_ref = time3(64, || cft_1z_scalar(&px, &mut buf, n, inv, &mut scratch));
     let z_lanes = time3(64, || cft_1z(&px, &mut buf, nsl, n, inv, &mut scratch));
     let (xy_speedup, z_speedup) = (xy_ref / xy_lanes, z_ref / z_lanes);
+
+    // --- Line skipping (QE's dofft): the paper's 80 Ry / 20 bohr sticks
+    // on the same 120x120 planes. The inverse input has its stick-free
+    // rows zero, as the scatter leaves them; each timed repetition
+    // restores it, then runs the inverse and forward legs.
+    let cell = Cell::cubic(20.0);
+    let grid = FftGrid::from_cutoff(&cell, DUAL * 80.0);
+    assert_eq!((grid.nr1, grid.nr2), (n, n), "the paper's grid is 120^2 in xy");
+    let set = StickSet::build(&GSphere::generate(&cell, 80.0, &grid), &grid);
+    let lines = XyLines::from_sticks(&px, &py, set.sticks.iter().map(|s| (s.ix, s.iy)));
+    let live_cols = (0..n).filter(|&x| lines.col(x)).count();
+    let mut g_planes = vec![Complex64::ZERO; planes.len()];
+    for s in &set.sticks {
+        for z in 0..nzl {
+            g_planes[z * n * n + s.iy * n + s.ix] = planes[z * n * n + s.iy * n + s.ix];
+        }
+    }
+    let (mut dense, mut masked) = (g_planes.clone(), g_planes.clone());
+    let mut skip_bitwise = true;
+    for dir in [Direction::Inverse, Direction::Forward] {
+        let (s, c) = (&mut scratch, &mut col);
+        cft_2xy_masked(&px, &py, &mut masked, nzl, n, n, dir, s, c, &lines);
+        cft_2xy_buf(&px, &py, &mut dense, nzl, n, n, dir, &mut scratch, &mut col);
+        // Inverse: the whole slab; forward: every live column.
+        let live = |at: &usize| dir == Direction::Inverse || lines.col(at % n);
+        skip_bitwise &= (0..dense.len())
+            .filter(live)
+            .all(|at| bitwise_eq(&dense[at..=at], &masked[at..=at]));
+    }
+    let mut buf = g_planes.clone();
+    let mut legs = |lines: &XyLines| {
+        buf.copy_from_slice(&g_planes);
+        for dir in [Direction::Inverse, Direction::Forward] {
+            let (s, c) = (&mut scratch, &mut col);
+            cft_2xy_masked(&px, &py, &mut buf, nzl, n, n, dir, s, c, lines);
+        }
+    };
+    let xy_dense = time3(8, || legs(&XyLines::DENSE));
+    let xy_masked = time3(8, || legs(&lines));
+    let skip_speedup = xy_dense / xy_masked;
     let xy_flops = nzl as f64 * 2.0 * n as f64 * fft_flops(n);
     let z_flops = nsl as f64 * fft_flops(n);
     println!("\nLane kernel vs scalar reference (bitwise identical: {lanes_bitwise}):");
@@ -206,6 +250,17 @@ fn main() {
         rows.push_str(&format!("{name}_scalar,{n},{s_ref:.6e},{m_ref:.1}\n"));
         rows.push_str(&format!("{name},{n},{s_lanes:.6e},{m_lanes:.1}\n"));
     }
+    let ideal = 2.0 * n as f64 / (n + live_cols) as f64;
+    println!(
+        "\nLine skipping at paper occupancy ({live_cols}/{n} lane-rounded live columns, \
+         bitwise equal on live lines: {skip_bitwise}):\n\
+         cft_2xy  n={n}  dense {xy_dense:.3e}s  masked {xy_masked:.3e}s  \
+         {skip_speedup:.2}x (line-count ratio {ideal:.2}x)"
+    );
+    // MFLOP/s at the dense flop count: the nominal rate of both legs.
+    for (name, s) in [("cft_2xy_dense_legs", xy_dense), ("cft_2xy_masked_legs", xy_masked)] {
+        rows.push_str(&format!("{name},{n},{s:.6e},{:.1}\n", 2.0 * xy_flops / s / 1e6));
+    }
 
     h.artifact("fft.csv", &rows, CheckKind::Structure);
     h.metric_f64("max_norm_err_vs_naive", max_err, 18)
@@ -216,7 +271,9 @@ fn main() {
         .metric_bool("throughput_positive", peak_1d > 0.0 && mflops3 > 0.0)
         .metric_bool("lanes_bitwise_eq_scalar", lanes_bitwise)
         .metric_f64("xy_lane_speedup", xy_speedup, 2)
-        .metric_f64("z_lane_speedup", z_speedup, 2);
+        .metric_f64("z_lane_speedup", z_speedup, 2)
+        .metric_bool("xy_skip_bitwise_eq_dense", skip_bitwise)
+        .metric_f64("xy_skip_speedup", skip_speedup, 2);
     h.gate(
         "fast 1-D transforms match the naive DFT oracle",
         "max_norm_err_vs_naive",
@@ -252,6 +309,18 @@ fn main() {
         "xy_lane_speedup",
         GateOp::Ge,
         1.3,
+    )
+    .gate(
+        "cft_2xy_masked equals the dense transform bit for bit on every live line",
+        "xy_skip_bitwise_eq_dense",
+        GateOp::Eq,
+        1.0,
+    )
+    .gate(
+        "cft_2xy_masked at paper occupancy runs >= 1.15x the in-run dense transform",
+        "xy_skip_speedup",
+        GateOp::Ge,
+        1.15,
     );
     std::process::exit(h.finish());
 }

@@ -10,8 +10,9 @@
 //! * **plan time** — wrap the z-gather/scatter tables of
 //!   [`fftx_pw::TaskGroupLayout::index_maps`] (deposit/extract per member,
 //!   xy-column offsets per peer group), resolve the padded-scatter chunk
-//!   geometry, and intern the three 1-D FFT plans through
-//!   [`fftx_fft::cached_plan`];
+//!   geometry, intern the three 1-D FFT plans through
+//!   [`fftx_fft::cached_plan`], and record which xy lines carry sticks
+//!   ([`fftx_fft::XyLines`], QE's `dofft`);
 //! * **execute time** — every data-movement step is a flat table-driven
 //!   copy between arena slices; buffers are grown once and then only
 //!   rewritten.
@@ -24,7 +25,7 @@
 //! golden bitwise suite would fail.
 
 use crate::config::Decomposition;
-use fftx_fft::{cached_plan, Complex64, Fft};
+use fftx_fft::{cached_plan, Complex64, Fft, XyLines};
 use fftx_pw::{FftGrid, GroupIndexMaps, ProcessGrid, TaskGroupLayout};
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -100,6 +101,10 @@ pub struct ExecPlan {
     pub y: Arc<Fft>,
     /// Interned 1-D plan along z.
     pub z: Arc<Fft>,
+    /// The xy lines that carry a stick of any peer group: every group's
+    /// planes receive all sticks, so this is the same for every group of
+    /// a layout (and every policy and decomposition over it).
+    pub xy_lines: XyLines,
     /// Pencil-lowering tables (`None` = slab).
     pub pencil: Option<PencilTables>,
 }
@@ -115,6 +120,12 @@ impl ExecPlan {
     /// plans. Build once, execute many.
     pub fn for_layout_decomp(l: &TaskGroupLayout, g: usize, decomp: Decomposition) -> Self {
         let grid = l.grid;
+        let maps = l.index_maps(g);
+        let (x, y) = (cached_plan(grid.nr1), cached_plan(grid.nr2));
+        // Every peer group's sticks land in this group's planes.
+        let sticks = maps.plane_cols.iter().flatten().map(|&at| at as usize);
+        let sticks = sticks.map(|at| (at % grid.nr1, at / grid.nr1));
+        let xy_lines = XyLines::from_sticks(&x, &y, sticks);
         ExecPlan {
             g,
             r: l.r,
@@ -128,10 +139,11 @@ impl ExecPlan {
             max_npp: l.max_npp(),
             ngw_group: l.ngw_group(g),
             plane_range: l.plane_range.clone(),
-            maps: l.index_maps(g),
-            x: cached_plan(grid.nr1),
-            y: cached_plan(grid.nr2),
+            maps,
+            x,
+            y,
             z: cached_plan(grid.nr3),
+            xy_lines,
             pencil: match decomp {
                 Decomposition::Slab => None,
                 Decomposition::Pencil => Some(PencilTables::for_family(l.r)),
@@ -403,6 +415,49 @@ mod tests {
         (0..l.ngw_rank(rank))
             .map(|n| c64(band as f64 * 1e6 + rank as f64 * 1e3 + n as f64, 1.0))
             .collect()
+    }
+
+    #[test]
+    fn xy_lines_cover_every_stick_and_agree_across_groups_and_decomps() {
+        // (label, ecutwfc, alat, nr3 override): paper120 and the serve
+        // classes small, medium, large and prime (small's xy, z = 41).
+        let cases = [
+            ("paper120", 80.0, 20.0, None),
+            ("small", 6.0, 8.0, None),
+            ("medium", 8.0, 9.0, None),
+            ("large", 10.0, 10.0, None),
+            ("prime", 6.0, 8.0, Some(41)),
+        ];
+        for (label, ecut, alat, nr3) in cases {
+            let cell = Cell::cubic(alat);
+            let mut grid = FftGrid::from_cutoff(&cell, DUAL * ecut);
+            if let Some(nr3) = nr3 {
+                grid = FftGrid::raw(grid.nr1, grid.nr2, nr3);
+            }
+            let sphere = GSphere::generate(&cell, ecut, &grid);
+            let set = StickSet::build(&sphere, &grid);
+            let mut first: Option<XyLines> = None;
+            for (r, t) in [(4, 1), (2, 2)] {
+                let l = TaskGroupLayout::new(grid, set.clone(), r, t);
+                for decomp in [Decomposition::Slab, Decomposition::Pencil] {
+                    for g in 0..l.r {
+                        let lines = ExecPlan::for_layout_decomp(&l, g, decomp).xy_lines;
+                        for &s in l.group_sticks.iter().flatten() {
+                            let st = &l.set.sticks[s];
+                            let at = format!("{label} stick ({}, {})", st.ix, st.iy);
+                            assert!(lines.col(st.ix) && lines.row(st.iy), "{at} not covered");
+                        }
+                        let first = first.get_or_insert_with(|| lines.clone());
+                        assert_eq!(&lines, first, "{label} {r}x{t} {decomp:?} group {g}");
+                    }
+                }
+            }
+            if label == "paper120" {
+                let lines = first.expect("paper120 planned");
+                assert_eq!((grid.nr1, grid.nr2), (120, 120));
+                assert_eq!((0..120).filter(|&x| lines.col(x)).count(), 60);
+            }
+        }
     }
 
     #[test]

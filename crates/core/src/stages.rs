@@ -51,7 +51,7 @@ use crate::problem::Problem;
 use crate::recorder::Recorder;
 use crate::verify::{Verifier, VerifyMode};
 use fftx_fault::{BatchAborts, CorruptionConfig};
-use fftx_fft::{cft_1z, cft_2xy_buf, opcount, Complex64, Direction};
+use fftx_fft::{cft_1z, cft_2xy_masked, opcount, Complex64, Direction};
 use fftx_pw::{apply_potential_slab, assemble_shares, ProcessGrid, TaskGroupLayout};
 use fftx_taskrt::{Dep, Handle, Runtime, Shared, SlotArena, TaskGraph};
 use fftx_trace::{StateClass, Trace, TraceSink};
@@ -663,7 +663,8 @@ impl StageRunner<'_> {
                 })
             }
             _ => self.rec.compute(StateClass::FftXy, self.flops.fft_xy, || {
-                cft_2xy_buf(&p.x, &p.y, buf, p.npp, p.grid.nr1, p.grid.nr2, dir, scratch, col);
+                let (nr1, nr2, lines) = (p.grid.nr1, p.grid.nr2, &p.xy_lines);
+                cft_2xy_masked(&p.x, &p.y, buf, p.npp, nr1, nr2, dir, scratch, col, lines);
             }),
         }
     }
@@ -1241,7 +1242,7 @@ fn rank_batches(
     let runner = sp.runner(&problem.v, &rec);
     let mut shares = problem.initial_shares(w);
     let mut arena = BufferArena::new();
-    let verifier = guard.verify.map(|(mode, c)| Verifier::new(mode, c, comm, &l.grid));
+    let verifier = guard.verify.map(|(mode, c)| Verifier::new(mode, c, comm, &sp.plan));
     let mut tally = BatchTally::default();
 
     comm.barrier();

@@ -21,7 +21,13 @@
 //!   Quantum ESPRESSO scaling convention (forward carries `1/N`, backward
 //!   is unnormalised), so each leg multiplies total energy by exactly `N`
 //!   (inverse) or `1/N` (forward) up to rounding: `E_out ≈ factor · E_in`
-//!   within [`PARSEVAL_TOL`]. One pass over the buffer per leg.
+//!   within [`PARSEVAL_TOL`]. One pass over the buffer per leg. The
+//!   forward xy leg y-transforms only the x-columns that carry sticks
+//!   ([`fftx_fft::XyLines`]); a skipped column is x-transformed only and
+//!   holds `1/nr2` of its dense energy, so that leg checks the skip-aware
+//!   identity `E_live + nr2·E_dead ≈ E_in/(nr1·nr2)` over the whole buffer
+//!   at the same tolerance. (The inverse xy leg skips only rows that are
+//!   zero, so plain Parseval holds there.)
 //! - **`full`** — recompute and compare. The leg input is snapshotted, the
 //!   leg recomputed on an independent (clean) path, and the outputs
 //!   compared bit-exactly. Catches *every* corrupting flip, at ~2× FFT
@@ -60,12 +66,12 @@
 //! eviction per run: a second flaky rank escalates as a typed error.
 
 use crate::config::Mode;
+use crate::plan::ExecPlan;
 use crate::problem::Problem;
 use crate::recovery::run_eviction;
 use crate::stages::{run_guarded, BatchGuard, BatchTally, LegHook, RunOutput, StageKind};
 use fftx_fault::{mix64, CorruptionConfig, RankDeath, RecoveryConfig, Strike, StuckLane};
-use fftx_fft::{c64, cached_plan, cft_1z, Complex64, Direction};
-use fftx_pw::FftGrid;
+use fftx_fft::{c64, cached_plan, cft_1z, Complex64, Direction, XyLines};
 use fftx_vmpi::{Communicator, VmpiError};
 use std::sync::Arc;
 
@@ -288,16 +294,21 @@ pub(crate) struct Verifier {
     /// Energy factors of a z leg (`nr3`) and an xy leg (`nr1 * nr2`).
     nz: f64,
     nxy: f64,
+    /// Plane shape and the xy lines the forward xy leg transforms.
+    nr1: usize,
+    nr2: usize,
+    xy_lines: XyLines,
 }
 
 impl Verifier {
-    /// The verifier of `comm`'s rank on `grid`.
+    /// The verifier of `comm`'s rank on `plan`.
     pub(crate) fn new(
         mode: VerifyMode,
         corruption: CorruptionConfig,
         comm: &Communicator,
-        grid: &FftGrid,
+        plan: &ExecPlan,
     ) -> Self {
+        let grid = &plan.grid;
         Verifier {
             mode,
             corruption,
@@ -305,7 +316,32 @@ impl Verifier {
             ranks: comm.size(),
             nz: grid.nr3 as f64,
             nxy: (grid.nr1 * grid.nr2) as f64,
+            nr1: grid.nr1,
+            nr2: grid.nr2,
+            xy_lines: plan.xy_lines.clone(),
         }
+    }
+
+    /// The energy a leg's output would have under the dense transform:
+    /// the buffer's energy, except on the forward xy leg, where each
+    /// skipped (x-transformed only) column counts `nr2`-fold — the y-DFT
+    /// it skipped multiplies a column's energy by `nr2`.
+    fn dense_energy(&self, kind: StageKind, buf: &[Complex64]) -> f64 {
+        if kind != StageKind::FftXyFwd {
+            return energy(buf);
+        }
+        let (mut live, mut dead) = (0.0, 0.0);
+        for row in buf.chunks_exact(self.nr1) {
+            for (x, c) in row.iter().enumerate() {
+                let e = c.re * c.re + c.im * c.im;
+                if self.xy_lines.col(x) {
+                    live += e;
+                } else {
+                    dead += e;
+                }
+            }
+        }
+        live + self.nr2 as f64 * dead
     }
 
     /// The leg hook of one batch attempt, counting into `tally`.
@@ -360,7 +396,7 @@ impl LegHook for VerifiedLegs<'_> {
                 fft(buf);
                 inject(vx, key, attempt, buf);
                 self.tally.checks += 1;
-                let (want, got) = (factor * e_in, energy(buf));
+                let (want, got) = (factor * e_in, vx.dense_energy(kind, buf));
                 if !energy_close(got, want, PARSEVAL_TOL) {
                     self.evidence.get_or_insert((want.to_bits(), got.to_bits()));
                 }
@@ -508,6 +544,7 @@ mod tests {
     use crate::config::FftxConfig;
     use crate::stages::{rank_stage_spans, run_policy, SchedulerPolicy};
     use fftx_fault::BitFlip;
+    use fftx_fft::cft_2xy_masked;
 
     fn problem(r: usize, t: usize) -> Arc<Problem> {
         Problem::new(FftxConfig::small(r, t, Mode::Original))
@@ -570,9 +607,16 @@ mod tests {
         assert!((0..8).all(|r| probe_fft_unit(&CorruptionConfig::off(), r, 18)));
     }
 
+    /// The forward xy leg's x-columns that carry no stick, on group 0.
+    fn dead_columns(problem: &Problem) -> Vec<usize> {
+        let plan = problem.exec_plan(0);
+        (0..plan.grid.nr1).filter(|&x| !plan.xy_lines.col(x)).collect()
+    }
+
     #[test]
     fn clean_verified_run_detects_nothing_and_matches_baseline() {
         let problem = problem(2, 2);
+        assert!(!dead_columns(&problem).is_empty(), "the xy legs must skip lines here");
         let baseline = run_policy(&problem, SchedulerPolicy::Serial);
         for mode in VerifyMode::ALL {
             let (out, stats) =
@@ -595,6 +639,52 @@ mod tests {
                 VerifyMode::Cheap => assert!(stats.parseval_checks > 0),
                 VerifyMode::Full => assert!(stats.recomputed_legs > 0),
             }
+        }
+    }
+
+    #[test]
+    fn strike_on_a_skipped_forward_column_is_detected() {
+        let problem = problem(2, 2);
+        let plan = problem.exec_plan(0);
+        let (nr1, nr2) = (plan.grid.nr1, plan.grid.nr2);
+        let vx = Verifier {
+            mode: VerifyMode::Cheap,
+            corruption: CorruptionConfig::off(),
+            rank: 0,
+            ranks: 1,
+            nz: plan.grid.nr3 as f64,
+            nxy: (nr1 * nr2) as f64,
+            nr1,
+            nr2,
+            xy_lines: plan.xy_lines.clone(),
+        };
+        let input: Vec<Complex64> = (0..plan.planes_len())
+            .map(|i| c64((i as f64 * 0.37).sin() + 0.5, (i as f64 * 0.11).cos()))
+            .collect();
+        // Leg output positions (component index) in skipped columns: the
+        // first, a middle and the last plane, real and imaginary parts.
+        let dead = dead_columns(&problem);
+        let mut targets = vec![None];
+        for z in [0, plan.npp / 2, plan.npp - 1] {
+            for (x, y) in [(dead[0], 0), (dead[dead.len() - 1], nr2 - 1)] {
+                let at = z * plan.plane + y * nr1 + x;
+                targets.extend([Some(2 * at), Some(2 * at + 1)]);
+            }
+        }
+        for target in targets {
+            let mut tally = BatchTally::default();
+            let mut legs = vx.legs(0, &mut tally);
+            let mut buf = input.clone();
+            let (mut scratch, mut col) = (Vec::new(), Vec::new());
+            legs.leg(StageKind::FftXyFwd, 0, &mut buf, |b| {
+                let (s, c, lines) = (&mut scratch, &mut col, &plan.xy_lines);
+                let dir = Direction::Forward;
+                cft_2xy_masked(&plan.x, &plan.y, b, plan.npp, nr1, nr2, dir, s, c, lines);
+                if let Some(f) = target {
+                    apply_significant_strike(&Strike { index_bits: f as u64, bit: 62 }, b);
+                }
+            });
+            assert_eq!(legs.evidence.is_some(), target.is_some(), "strike at {target:?}");
         }
     }
 
