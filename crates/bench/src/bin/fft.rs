@@ -8,13 +8,16 @@
 //! over that reference measured in the same run, a ratio that holds on
 //! any host. The same holds for line skipping: `cft_2xy_masked` over the
 //! paper's stick occupancy is gated on bitwise equality with the dense
-//! transform on every live line and on its in-run speedup over it.
+//! transform on every live line and on its in-run speedup over it. And
+//! for the instruction-set dispatch: the instance `Fft::new` picks on this
+//! CPU (recorded as `isa`) is gated on bitwise equality with the baseline
+//! instance, built in the same run, and on its speedup over it.
 
 use fftx_bench::{CheckKind, GateOp, Harness};
 use fftx_fft::opcount::{fft_3d_flops, fft_flops};
 use fftx_fft::{
     c64, cft_1z, cft_2xy_buf, cft_2xy_masked, max_dist, naive_dft, scale_in_place, Complex64,
-    Direction, Fft, Fft3, XyLines,
+    Direction, Fft, Fft3, Isa, XyLines,
 };
 use fftx_pw::{Cell, FftGrid, GSphere, StickSet, DUAL};
 use std::time::Instant;
@@ -225,17 +228,57 @@ fn main() {
             .filter(live)
             .all(|at| bitwise_eq(&dense[at..=at], &masked[at..=at]));
     }
+
+    // --- Instruction-set dispatch: the instance `Fft::new` picked against
+    // the baseline instance on the same data (the masked legs above and the
+    // sticks), then the masked legs timed on every instance this CPU has.
+    let isa = px.isa();
+    let base = Fft::with_isa(n, Isa::Baseline);
+    let mut isa_bitwise = true;
+    for dir in [Direction::Inverse, Direction::Forward] {
+        let (mut got, mut want) = (g_planes.clone(), g_planes.clone());
+        for (p, buf) in [(&px, &mut got), (&base, &mut want)] {
+            cft_2xy_masked(p, p, buf, nzl, n, n, dir, &mut scratch, &mut col, &lines);
+        }
+        isa_bitwise &= bitwise_eq(&got, &want);
+        let (mut got, mut want) = (sticks.clone(), sticks.clone());
+        cft_1z(&px, &mut got, nsl, n, dir, &mut scratch);
+        cft_1z(&base, &mut want, nsl, n, dir, &mut scratch);
+        isa_bitwise &= bitwise_eq(&got, &want);
+    }
+
     let mut buf = g_planes.clone();
-    let mut legs = |lines: &XyLines| {
+    let mut legs = |p: &Fft, lines: &XyLines| {
         buf.copy_from_slice(&g_planes);
         for dir in [Direction::Inverse, Direction::Forward] {
             let (s, c) = (&mut scratch, &mut col);
-            cft_2xy_masked(&px, &py, &mut buf, nzl, n, n, dir, s, c, lines);
+            cft_2xy_masked(p, p, &mut buf, nzl, n, n, dir, s, c, lines);
         }
     };
-    let xy_dense = time3(8, || legs(&XyLines::DENSE));
-    let xy_masked = time3(8, || legs(&lines));
+    let xy_dense = time3(8, || legs(&px, &XyLines::DENSE));
+    let xy_masked = time3(8, || legs(&px, &lines));
     let skip_speedup = xy_dense / xy_masked;
+    // Rounds alternate the instances, so each sees the same phases of a
+    // shared host's load; each keeps its best time.
+    let isa_plans: Vec<Fft> = Isa::available()
+        .into_iter()
+        .map(|i| Fft::with_isa(n, i))
+        .collect();
+    let mut isa_times: Vec<(Isa, f64)> =
+        isa_plans.iter().map(|p| (p.isa(), f64::INFINITY)).collect();
+    for _ in 0..4 {
+        for (p, (_, best)) in isa_plans.iter().zip(&mut isa_times) {
+            *best = best.min(time3(4, || legs(p, &lines)));
+        }
+    }
+    let time_on = |want: Isa| {
+        let found = isa_times.iter().find(|(i, _)| *i == want);
+        found
+            .expect("Isa::available lists the baseline and the detected instance")
+            .1
+    };
+    let xy_base = time_on(Isa::Baseline);
+    let isa_speedup = xy_base / time_on(isa);
     let xy_flops = nzl as f64 * 2.0 * n as f64 * fft_flops(n);
     let z_flops = nsl as f64 * fft_flops(n);
     println!("\nLane kernel vs scalar reference (bitwise identical: {lanes_bitwise}):");
@@ -257,8 +300,23 @@ fn main() {
          cft_2xy  n={n}  dense {xy_dense:.3e}s  masked {xy_masked:.3e}s  \
          {skip_speedup:.2}x (line-count ratio {ideal:.2}x)"
     );
+    println!(
+        "\nInstruction-set dispatch (picked {}, bitwise equal to baseline: {isa_bitwise}):",
+        isa.name()
+    );
+    for (i, s) in &isa_times {
+        println!(
+            "cft_2xy  n={n}  masked legs on {:<8} {s:.3e}s  {:.2}x baseline",
+            i.name(),
+            xy_base / s
+        );
+    }
     // MFLOP/s at the dense flop count: the nominal rate of both legs.
-    for (name, s) in [("cft_2xy_dense_legs", xy_dense), ("cft_2xy_masked_legs", xy_masked)] {
+    for (name, s) in [
+        ("cft_2xy_dense_legs", xy_dense),
+        ("cft_2xy_masked_legs", xy_masked),
+        ("cft_2xy_masked_legs_baseline", xy_base),
+    ] {
         rows.push_str(&format!("{name},{n},{s:.6e},{:.1}\n", 2.0 * xy_flops / s / 1e6));
     }
 
@@ -273,7 +331,10 @@ fn main() {
         .metric_f64("xy_lane_speedup", xy_speedup, 2)
         .metric_f64("z_lane_speedup", z_speedup, 2)
         .metric_bool("xy_skip_bitwise_eq_dense", skip_bitwise)
-        .metric_f64("xy_skip_speedup", skip_speedup, 2);
+        .metric_f64("xy_skip_speedup", skip_speedup, 2)
+        .metric_str("isa", isa.name())
+        .metric_bool("isa_bitwise_eq_baseline", isa_bitwise)
+        .metric_f64("xy_isa_speedup", isa_speedup, 2);
     h.gate(
         "fast 1-D transforms match the naive DFT oracle",
         "max_norm_err_vs_naive",
@@ -319,6 +380,18 @@ fn main() {
     .gate(
         "cft_2xy_masked at paper occupancy runs >= 1.15x the in-run dense transform",
         "xy_skip_speedup",
+        GateOp::Ge,
+        1.15,
+    )
+    .gate(
+        "the detected instruction set equals the baseline instance bit for bit",
+        "isa_bitwise_eq_baseline",
+        GateOp::Eq,
+        1.0,
+    )
+    .gate(
+        "cft_2xy_masked on the detected instruction set runs >= 1.15x the baseline instance",
+        "xy_isa_speedup",
         GateOp::Ge,
         1.15,
     );

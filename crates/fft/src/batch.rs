@@ -586,6 +586,41 @@ mod tests {
     }
 
     #[test]
+    fn every_isa_runs_the_paper_disc_bitwise_equal_to_baseline() {
+        use crate::isa::{report_instances, Isa};
+        // 120² planes at the paper's occupancy, and 120-long sticks with
+        // padding and a scalar tail.
+        let (n, nzl, nsl, ldz) = (120, 2, 10, 124);
+        let base = Fft::with_isa(n, Isa::Baseline);
+        let lines = XyLines::from_sticks(&base, &base, disc(n, n, 28));
+        // Inverse input: zero outside the sticks, as the scatter leaves it.
+        let mut planes = ramp(nzl * n * n, 0.29);
+        for (at, v) in planes.iter_mut().enumerate() {
+            if !lines.row(at / n % n) {
+                *v = Complex64::ZERO;
+            }
+        }
+        let sticks = ramp(nsl * ldz, 0.43);
+        let (mut scratch, mut col) = (Vec::new(), Vec::new());
+        for isa in Isa::available() {
+            let (plan, name) = (Fft::with_isa(n, isa), isa.name());
+            for dir in [Direction::Inverse, Direction::Forward] {
+                let (mut got, mut want) = (planes.clone(), planes.clone());
+                for (p, buf) in [(&plan, &mut got), (&base, &mut want)] {
+                    let (s, c) = (&mut scratch, &mut col);
+                    cft_2xy_masked(p, p, buf, nzl, n, n, dir, s, c, &lines);
+                }
+                assert_eq!(bits(&got), bits(&want), "cft_2xy_masked {name} {dir:?}");
+                let (mut got, mut want) = (sticks.clone(), sticks.clone());
+                cft_1z(&plan, &mut got, nsl, ldz, dir, &mut scratch);
+                cft_1z(&base, &mut want, nsl, ldz, dir, &mut scratch);
+                assert_eq!(bits(&got), bits(&want), "cft_1z {name} {dir:?}");
+            }
+        }
+        report_instances("every_isa_runs_the_paper_disc_bitwise_equal_to_baseline");
+    }
+
+    #[test]
     #[should_panic(expected = "buffer too small")]
     fn cft_1z_checks_length() {
         let plan = Fft::new(8);

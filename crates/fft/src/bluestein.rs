@@ -6,6 +6,7 @@
 
 use crate::complex::Complex64;
 use crate::dft::Direction;
+use crate::isa::Isa;
 use crate::kernel::MixedRadixPlan;
 use std::f64::consts::PI;
 
@@ -23,11 +24,21 @@ pub struct BluesteinPlan {
 }
 
 impl BluesteinPlan {
-    /// Builds a plan for length `n >= 1`.
+    /// Builds a plan for length `n >= 1` whose inner transforms run the
+    /// widest kernel instance this CPU supports ([`Isa::detect`]).
     pub fn new(n: usize) -> Self {
+        Self::with_isa(n, Isa::detect())
+    }
+
+    /// Builds a plan for length `n >= 1` whose inner transforms run the
+    /// `isa` instance of the kernel.
+    ///
+    /// # Panics
+    /// Panics if `n == 0` or this CPU does not support `isa`.
+    pub fn with_isa(n: usize, isa: Isa) -> Self {
         assert!(n >= 1, "BluesteinPlan: n must be >= 1");
         let m = (2 * n - 1).next_power_of_two();
-        let inner = MixedRadixPlan::new(m);
+        let inner = MixedRadixPlan::with_isa(m, isa);
         // j^2 mod 2n keeps the phase argument bounded.
         let chirp: Vec<Complex64> = (0..n)
             .map(|j| Complex64::cis(-PI * ((j * j) % (2 * n)) as f64 / n as f64))

@@ -250,35 +250,6 @@ impl fmt::Display for Complex64 {
     }
 }
 
-/// Lets `Complex64` buffers travel through the checksummed alltoall family
-/// of `fftx-vmpi`. The element is 128 bits, so the 64-bit wire image folds
-/// the two halves through a splitmix finalizer with distinct salts — a
-/// single-bit flip in either component (or a re/im swap) changes the image
-/// with overwhelming probability.
-impl fftx_vmpi::Checksum for Complex64 {
-    fn image(&self) -> u64 {
-        #[inline]
-        fn mix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        mix(self.re.to_bits() ^ 0xA076_1D64_78BD_642F)
-            .wrapping_add(mix(self.im.to_bits() ^ 0xE703_7ED1_A0B4_28DB))
-    }
-
-    fn flip_bit(&mut self, bit: u32) {
-        // Bits 0–63 strike the real part, 64–127 the imaginary part.
-        let b = bit % 128;
-        if b < 64 {
-            fftx_vmpi::Checksum::flip_bit(&mut self.re, b);
-        } else {
-            fftx_vmpi::Checksum::flip_bit(&mut self.im, b - 64);
-        }
-    }
-}
-
 /// Maximum absolute component-wise deviation between two complex slices.
 pub fn max_dist(a: &[Complex64], b: &[Complex64]) -> f64 {
     assert_eq!(a.len(), b.len(), "max_dist: length mismatch");
@@ -383,28 +354,5 @@ mod tests {
     fn display_formats_sign() {
         assert_eq!(format!("{}", c64(1.0, 2.0)), "1+2i");
         assert_eq!(format!("{}", c64(1.0, -2.0)), "1-2i");
-    }
-
-    #[test]
-    fn checksum_image_separates_components_and_flips_both_halves() {
-        use fftx_vmpi::Checksum;
-        let a = c64(1.0, 2.0);
-        assert_eq!(a.image(), c64(1.0, 2.0).image(), "image is pure");
-        assert_ne!(a.image(), c64(2.0, 1.0).image(), "re/im swap must differ");
-        // Every bit of either component changes the image, and flips are
-        // involutions.
-        for bit in 0..128 {
-            let mut z = c64(0.5, -3.25);
-            z.flip_bit(bit);
-            assert_ne!(z.image(), c64(0.5, -3.25).image(), "bit {bit}");
-            assert_ne!(z, c64(0.5, -3.25));
-            z.flip_bit(bit);
-            assert_eq!(z, c64(0.5, -3.25));
-        }
-        // Bit 64 strikes the imaginary part, bit 0 the real part.
-        let mut z = Complex64::ZERO;
-        z.flip_bit(64);
-        assert_eq!(z.re, 0.0);
-        assert_ne!(z.im.to_bits(), 0);
     }
 }

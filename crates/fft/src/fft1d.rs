@@ -5,6 +5,7 @@
 use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex64;
 use crate::dft::Direction;
+use crate::isa::Isa;
 use crate::kernel::MixedRadixPlan;
 use crate::planner::is_direct_size;
 
@@ -18,20 +19,44 @@ enum Kind {
 /// A reusable, thread-shareable FFT plan for one length.
 pub struct Fft {
     n: usize,
+    isa: Isa,
     kind: Kind,
 }
 
 impl Fft {
-    /// Builds a plan for length `n` (any size, including 0 and 1).
+    /// Builds a plan for length `n` (any size, including 0 and 1) that
+    /// runs the widest kernel instance this CPU supports ([`Isa::detect`]).
     pub fn new(n: usize) -> Self {
+        Self::with_isa(n, Isa::detect())
+    }
+
+    /// Builds a plan for length `n` that runs the `isa` instance of the
+    /// kernel, for tests and benchmarks that compare instances; every
+    /// instance gives bitwise the same results.
+    ///
+    /// # Panics
+    /// Panics if this CPU does not support `isa`: running that instance
+    /// would be undefined behaviour.
+    pub fn with_isa(n: usize, isa: Isa) -> Self {
+        assert!(
+            isa.is_supported(),
+            "Fft: this CPU does not support {}",
+            isa.name()
+        );
         let kind = if n <= 1 {
             Kind::Identity
         } else if is_direct_size(n) {
-            Kind::Direct(MixedRadixPlan::new(n))
+            Kind::Direct(MixedRadixPlan::with_isa(n, isa))
         } else {
-            Kind::Bluestein(Box::new(BluesteinPlan::new(n)))
+            Kind::Bluestein(Box::new(BluesteinPlan::with_isa(n, isa)))
         };
-        Fft { n, kind }
+        Fft { n, isa, kind }
+    }
+
+    /// The kernel instance this plan runs.
+    #[inline]
+    pub fn isa(&self) -> Isa {
+        self.isa
     }
 
     /// Transform length.
@@ -134,6 +159,14 @@ mod tests {
     /// more than 4x headroom over both.
     const ACCURACY_C: f64 = 8.0;
 
+    /// Powers of two, 2·3·5·7 mixes, direct primes, Bluestein sizes.
+    const SIZE_CLASSES: [&[usize]; 4] = [
+        &[2, 4, 8, 16, 32, 64, 128, 256, 512],
+        &[6, 10, 14, 15, 18, 21, 30, 35, 42, 60, 90, 105, 120, 210],
+        &[11, 13, 17, 19, 23, 29, 31, 37],
+        &[41, 127],
+    ];
+
     fn ramp(n: usize) -> Vec<Complex64> {
         (0..n)
             .map(|i| c64((i as f64 * 0.77).sin(), (i as f64 * 0.31).cos()))
@@ -175,20 +208,26 @@ mod tests {
         v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
     }
 
+    /// `(element stride, lane stride)` of every lane layout `plan` runs:
+    /// padded contiguous lanes (rows, sticks); for direct plans also
+    /// interleaved lanes with padding (columns) and the exact
+    /// lane-interleaved layout.
+    fn lane_layouts<const W: usize>(plan: &Fft) -> Vec<(usize, usize)> {
+        let n = plan.len();
+        let mut layouts = vec![(1, n + 3)];
+        if plan.has_strided_lanes() {
+            layouts.extend([(W + 2, 1), (W, 1)]);
+        }
+        layouts
+    }
+
     #[test]
     fn lanes_are_bitwise_equal_to_scalar_transforms() {
         const W: usize = 4;
         let mut scratch = Vec::new();
         for n in [2, 4, 8, 11, 13, 14, 18, 21, 37, 41, 60, 90, 120, 125, 128] {
             let plan = Fft::new(n);
-            // (element stride, lane stride): padded contiguous lanes (rows,
-            // sticks); for direct plans also interleaved lanes with padding
-            // (columns) and the exact lane-interleaved layout.
-            let mut layouts = vec![(1, n + 3)];
-            if plan.has_strided_lanes() {
-                layouts.extend([(W + 2, 1), (W, 1)]);
-            }
-            for (es, ls) in layouts {
+            for (es, ls) in lane_layouts::<W>(&plan) {
                 let x = noise((n - 1) * es + (W - 1) * ls + 1, n as u64);
                 for dir in [Direction::Forward, Direction::Inverse] {
                     let mut got = x.clone();
@@ -209,14 +248,7 @@ mod tests {
 
     #[test]
     fn accuracy_contract_holds_for_every_size_class() {
-        // Powers of two, 2·3·5·7 mixes, direct primes, Bluestein sizes.
-        let classes: [&[usize]; 4] = [
-            &[2, 4, 8, 16, 32, 64, 128, 256, 512],
-            &[6, 10, 14, 15, 18, 21, 30, 35, 42, 60, 90, 105, 120, 210],
-            &[11, 13, 17, 19, 23, 29, 31, 37],
-            &[41, 127],
-        ];
-        for n in classes.concat() {
+        for n in SIZE_CLASSES.concat() {
             let x = noise(n, 7 + n as u64);
             let norm = x.iter().map(|v| v.norm_sqr()).sum::<f64>().sqrt();
             let unit = f64::EPSILON * (n as f64).log2().ceil() * norm;
@@ -232,6 +264,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_isa_is_bitwise_equal_to_baseline() {
+        const W: usize = 4;
+        let mut scratch = Vec::new();
+        for n in SIZE_CLASSES.concat() {
+            let base = Fft::with_isa(n, Isa::Baseline);
+            for isa in Isa::available() {
+                let plan = Fft::with_isa(n, isa);
+                assert_eq!(plan.isa(), isa);
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let x = noise(n, 3 + n as u64);
+                    let (mut got, mut want) = (x.clone(), x);
+                    plan.process_with(&mut got, &mut scratch, dir);
+                    base.process_with(&mut want, &mut scratch, dir);
+                    assert_eq!(bits(&got), bits(&want), "{} n={n} {dir:?}", isa.name());
+                    for (es, ls) in lane_layouts::<W>(&plan) {
+                        let x = noise((n - 1) * es + (W - 1) * ls + 1, n as u64);
+                        let (mut got, mut want) = (x.clone(), x);
+                        plan.process_lanes::<W>(&mut got, es, ls, &mut scratch, dir);
+                        base.process_lanes::<W>(&mut want, es, ls, &mut scratch, dir);
+                        let at = format!("{} n={n} es={es} ls={ls} {dir:?}", isa.name());
+                        assert_eq!(bits(&got), bits(&want), "{at}");
+                    }
+                }
+            }
+        }
+        crate::isa::report_instances("every_isa_is_bitwise_equal_to_baseline");
     }
 
     #[test]

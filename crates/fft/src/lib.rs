@@ -8,6 +8,15 @@
 //! dense 3-D reference transform, and an operation-count model feeding the
 //! KNL simulator.
 //!
+//! The lane kernel is compiled once per instruction set — the portable
+//! baseline, AVX2 and AVX-512F — and every plan runs the widest instance
+//! the CPU supports, picked at run time ([`Isa`]). Every instance runs the
+//! same operations in the same order, so every result bit is the same
+//! whichever one ran; [`Fft::with_isa`] builds a plan on a given instance
+//! for tests and benchmarks that compare them.
+//!
+//! The crate is a leaf: it depends on no other workspace crate.
+//!
 //! Conventions (matching Quantum ESPRESSO):
 //! * `Direction::Forward` = negative exponent = r-space → G-space, and the
 //!   batched/3-D wrappers scale it by `1/N`;
@@ -15,6 +24,7 @@
 //!   unnormalised.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod batch;
 pub mod bluestein;
@@ -23,6 +33,7 @@ pub mod complex;
 pub mod dft;
 pub mod fft1d;
 pub mod fft3d;
+pub mod isa;
 pub mod kernel;
 pub mod opcount;
 pub mod planner;
@@ -33,4 +44,5 @@ pub use complex::{c64, max_dist, Complex64};
 pub use dft::{compensated_dft, naive_dft, naive_dft_3d, Direction};
 pub use fft1d::{scale_in_place, Fft};
 pub use fft3d::Fft3;
+pub use isa::Isa;
 pub use planner::{good_fft_order, is_good_size};

@@ -18,6 +18,8 @@
 //! the image changes the fold with overwhelming probability (the tests pin
 //! single-bit sensitivity explicitly).
 
+use fftx_fft::Complex64;
+
 /// An element that can travel through a checksummed exchange: it exposes a
 /// canonical 64-bit image for hashing, and a bit-flip primitive so the
 /// seeded corruption profiles can strike payloads of any element type.
@@ -77,6 +79,28 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Lets `Complex64` buffers travel through the checksummed alltoall
+/// family. The element is 128 bits, so the 64-bit wire image folds the
+/// two halves through the splitmix finalizer with distinct salts — a
+/// single-bit flip in either component (or a re/im swap) changes the image
+/// with overwhelming probability.
+impl Checksum for Complex64 {
+    fn image(&self) -> u64 {
+        mix(self.re.to_bits() ^ 0xA076_1D64_78BD_642F)
+            .wrapping_add(mix(self.im.to_bits() ^ 0xE703_7ED1_A0B4_28DB))
+    }
+
+    fn flip_bit(&mut self, bit: u32) {
+        // Bits 0–63 strike the real part, 64–127 the imaginary part.
+        let b = bit % 128;
+        if b < 64 {
+            self.re.flip_bit(b);
+        } else {
+            self.im.flip_bit(b - 64);
+        }
+    }
 }
 
 /// The chunk checksum: a positional fold of each element's image. Position
@@ -149,5 +173,28 @@ mod tests {
         assert_eq!(3u8.image(), 3u64);
         assert_eq!(3u64.image(), 3u64);
         assert_eq!(checksum_slice(&[1u8, 2, 3]), checksum_slice(&[1u64, 2, 3]));
+    }
+
+    #[test]
+    fn checksum_image_separates_components_and_flips_both_halves() {
+        use fftx_fft::c64;
+        let a = c64(1.0, 2.0);
+        assert_eq!(a.image(), c64(1.0, 2.0).image(), "image is pure");
+        assert_ne!(a.image(), c64(2.0, 1.0).image(), "re/im swap must differ");
+        // Every bit of either component changes the image, and flips are
+        // involutions.
+        for bit in 0..128 {
+            let mut z = c64(0.5, -3.25);
+            z.flip_bit(bit);
+            assert_ne!(z.image(), c64(0.5, -3.25).image(), "bit {bit}");
+            assert_ne!(z, c64(0.5, -3.25));
+            z.flip_bit(bit);
+            assert_eq!(z, c64(0.5, -3.25));
+        }
+        // Bit 64 strikes the imaginary part, bit 0 the real part.
+        let mut z = Complex64::ZERO;
+        z.flip_bit(64);
+        assert_eq!(z.re, 0.0);
+        assert_ne!(z.im.to_bits(), 0);
     }
 }

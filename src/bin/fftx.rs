@@ -17,7 +17,7 @@ use fftxlib_repro::core::{
     load_env, resolve_decomp, run_modeled, run_policy, valid_decomps, valid_policies,
     DecompChoice, FftxConfig, Mode, Problem, SchedulerPolicy,
 };
-use fftxlib_repro::fft::max_dist;
+use fftxlib_repro::fft::{max_dist, Isa};
 use fftxlib_repro::pw::apply_vloc;
 use fftxlib_repro::trace::{
     export_paraver, intra_factors, phase_profile, render_timeline, EventLog, StateClass,
@@ -162,6 +162,9 @@ fn print_header(config: &FftxConfig, problem: &Problem, engine: Engine) {
     let grid = problem.grid();
     println!("fftx — FFTXlib reproduction miniapp");
     println!("  engine : {}", if engine == Engine::Real { "real (virtual MPI + actual FFTs)" } else { "modeled KNL node (68 cores @ 1.4 GHz)" });
+    if engine == Engine::Real {
+        println!("  kernel : lane FFT, {}", Isa::detect().name());
+    }
     println!("  mode   : {}", config.mode.name());
     println!("  decomp : {}", config.decomp.name());
     println!("  cell   : cubic, alat {} bohr; ecutwfc {} Ry", config.alat, config.ecutwfc);
@@ -202,11 +205,17 @@ fn print_trace_extras(trace: &Trace, runtime: f64, ideal: Option<f64>, args: &Ar
         }
     }
     if args.metrics {
+        // The real engine has no cycle counter: its IPC is the traced flop
+        // count over the modeled node's nominal clock.
+        let ipc_label = match args.engine {
+            Engine::Real => "IPC (proxy: flops / nominal 1.4 GHz)",
+            Engine::Model => "IPC",
+        };
         println!("
 Per-phase profile:");
         for (class, total, count, ipc) in phase_profile(trace) {
             println!(
-                "  {:<9} {:>9.4}s over {:>5} bursts, IPC {:.2}",
+                "  {:<9} {:>9.4}s over {:>5} bursts, {ipc_label} {:.2}",
                 class.name(),
                 total,
                 count,
@@ -222,7 +231,8 @@ Per-phase profile:");
             println!("     -> synchronization    {:6.2} %", s * 100.0);
             println!("     -> transfer           {:6.2} %", t * 100.0);
         }
-        println!("  main-phase IPC           {:6.3}", trace.mean_ipc(StateClass::FftXy));
+        let main_ipc = trace.mean_ipc(StateClass::FftXy);
+        println!("  main-phase {ipc_label:<13} {main_ipc:6.3}");
     }
     if args.timeline {
         println!("\nTimeline:");

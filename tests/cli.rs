@@ -1,6 +1,7 @@
 //! Command-line robustness: bad configuration, traffic and fault flags
 //! must end in a usage error (exit code 2 and an `error:` line on stderr)
-//! instead of a panic or a run that never returns.
+//! instead of a panic or a run that never returns. Also pins the labels
+//! `fftx` prints for what it measured.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -84,4 +85,29 @@ fn fftx_serve_rejects_bad_fault_flags() {
     ] {
         assert_usage_error(bin, args);
     }
+}
+
+#[test]
+fn fftx_names_the_kernel_isa_and_labels_the_ipc_proxy() {
+    let bin = env!("CARGO_BIN_EXE_fftx");
+    let stdout = |args: &[&str]| {
+        let out = Command::new(bin).args(args).output().expect("run fftx");
+        assert!(out.status.success(), "{args:?} must succeed");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    // The real engine has no cycle counter: its IPC is a flop count over
+    // the nominal clock, and it runs one compiled instance of the kernel.
+    let real = stdout(&["--nr", "2", "--metrics"]);
+    let isa = real
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("kernel : lane FFT, "))
+        .expect("a kernel line in the real engine's header");
+    assert!(
+        ["baseline", "avx2", "avx512f"].contains(&isa),
+        "kernel ISA {isa}"
+    );
+    assert!(real.contains("main-phase IPC (proxy: flops / nominal 1.4 GHz)"));
+    let model = stdout(&["--engine", "model", "--nr", "2", "--metrics"]);
+    assert!(!model.contains("kernel :") && !model.contains("proxy"));
+    assert!(model.contains("main-phase IPC "));
 }
